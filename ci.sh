@@ -35,14 +35,12 @@ cargo test -q -p refdist-cluster --test differential_serve
 echo "==> cargo test -q -p refdist-bench --test determinism"
 cargo test -q -p refdist-bench --test determinism
 
-# Event-engine suites: the calendar-vs-heap pop-order property (adversarial
-# schedules: same-instant floods, far-future outliers, schedule-mid-drain)
-# and the full-simulation differential proving `SimConfig::heap_events` off
-# vs on is byte-identical across solo, chaos and serve runs.
+# Event-engine suite: the queue oracle `calendar_matches_binary_heap_model`
+# drives the calendar queue and a binary min-heap through adversarial
+# schedules (same-instant floods, far-future outliers, schedule-mid-drain,
+# reuse after clear/reserve) and requires identical pops.
 echo "==> cargo test -q -p refdist-simcore --test proptest_simcore"
 cargo test -q -p refdist-simcore --test proptest_simcore
-echo "==> cargo test -q -p refdist-cluster --test differential_events"
-cargo test -q -p refdist-cluster --test differential_events
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -57,8 +55,7 @@ done
 
 # Protocol-bench smoke: run the recorded-bench binaries in quick mode in a
 # scratch dir so the checked-in BENCH_*.json files are not clobbered. This
-# exercises the full record-and-write path, including the linear-vs-indexed
-# scheduler equivalence assertions inside bench_sched.
+# exercises the full record-and-write path.
 ( bench_tmp="$(mktemp -d)"
   trap 'rm -rf "$bench_tmp"' EXIT
   cd "$bench_tmp"

@@ -4,8 +4,9 @@
 //!
 //! The `state_repr` group runs the same whole simulations on both per-block
 //! state representations — the hash-backed reference path
-//! (`SimConfig::reference_state`) and the dense slot-indexed tables — so
-//! the macro win of the slot arena is measured on unchanged workloads.
+//! (`SimConfig::reference_state`, which changes the block state only) and
+//! the dense slot-indexed tables — so the macro win of the slot arena is
+//! measured on unchanged workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use refdist_cluster::{ClusterConfig, SimConfig, Simulation};

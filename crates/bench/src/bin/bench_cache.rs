@@ -5,7 +5,9 @@
 //! * `BENCH_baseline.json` — `naive`: the pre-index re-scan protocol
 //!   (`NaiveScan`) on hash-backed engine state (the original cost profile).
 //! * `BENCH_pr2.json` — `indexed`: the ordered-index `select_victims` path,
-//!   still on hash-backed engine state (`SimConfig::reference_state`).
+//!   still on hash-backed engine state (`SimConfig::reference_state`, which
+//!   selects the block state only; scheduling and the event queue are the
+//!   same in every protocol).
 //! * `BENCH_pr3.json` — `dense`: the indexed path on dense slot-addressed
 //!   per-block state (the configuration the runtime uses now).
 //!

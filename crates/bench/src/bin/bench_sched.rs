@@ -1,18 +1,13 @@
 //! Task-scheduler scaling benchmark (ISSUE 4): measures end-to-end
-//! simulation wall time under the two interchangeable schedulers as the
-//! cluster grows, and writes each side to a machine-readable file:
-//!
-//! * `BENCH_sched_linear.json` — `linear`: the original per-task linear
-//!   scans (`SimConfig::linear_sched`), including the full nodes×cores scan
-//!   per task that delay scheduling performs.
-//! * `BENCH_pr10.json` — `indexed`: the incrementally maintained
-//!   [`SlotIndex`](refdist_cluster) ordered-set scheduler (the default).
+//! simulation wall time on the incrementally maintained
+//! [`SlotIndex`](refdist_cluster) ordered-set scheduler as the cluster
+//! grows, and writes the `indexed` rows to `BENCH_pr10.json`.
 //!
 //! The workload is a wide iterative app — 8 partitions per node, so every
 //! stage runs multiple task waves per node — with delay scheduling on and a
-//! straggler injected, the regime where the linear global scan dominates
-//! large clusters. Reports from both schedulers are asserted byte-identical
-//! before any timing is recorded.
+//! straggler injected, so every task also asks for the cluster-wide
+//! earliest slot and migrations happen (asserted before any timing is
+//! recorded).
 //!
 //! `BENCH_pr10.json` additionally re-measures the `bench_cache` macro
 //! protocol (`cc_sweep` on dense state, fault-free and chaotic) and the
@@ -43,14 +38,14 @@
 //! Each cell also records the slot arena's high-water mark (`peak_slots`),
 //! so the regression guard gates O(active) memory alongside wall time.
 //!
-//! A `sim_throughput` suite times the *fully stacked* engine — dense
-//! slot-indexed state + indexed scheduler + calendar event queue — against
-//! the full reference configuration (`SimConfig::reference_state`: hash
-//! state + linear scans + binary heap) on the same wide app under cache
-//! pressure, with speculation exercising the event queue. Reports are
-//! asserted byte-identical before timing. Outside `REFDIST_QUICK`, a
-//! 1024-node mega row pushes ~a million tasks through the engine alone (the
-//! reference path at that scale is minutes, not seconds).
+//! A `sim_throughput` suite times the engine on dense slot-indexed state
+//! against the hash-backed reference state (`SimConfig::reference_state`,
+//! which selects the block state only; both sides share the slot index and
+//! the calendar event queue) on the same wide app under cache pressure,
+//! with speculation exercising the event queue. Reports are asserted
+//! byte-identical before timing. Outside `REFDIST_QUICK`, a
+//! 1024-node mega row pushes ~a million tasks through the dense engine
+//! alone.
 //!
 //! `REFDIST_QUICK=1` shrinks cluster sizes and repetitions for smoke runs
 //! (the output files are still written).
@@ -109,22 +104,21 @@ fn sched_app_jobs(nodes: u32, jobs: usize) -> AppSpec {
     b.build()
 }
 
-fn sched_cfg(nodes: u32, linear: bool) -> SimConfig {
+fn sched_cfg(nodes: u32) -> SimConfig {
     // A cache that holds the whole dataset keeps eviction churn out of the
     // measurement; the per-task costs left are scheduling and cache hits.
     let mut cfg = SimConfig::new(ClusterConfig::tiny(nodes, 1 << 40));
     cfg.cluster.cores_per_node = 4;
-    // Delay scheduling is what makes the linear scheduler scan every slot in
-    // the cluster per task; the straggler guarantees migrations happen.
+    // Delay scheduling makes every task query the cluster-wide earliest
+    // slot; the straggler guarantees migrations happen.
     cfg.delay_scheduling_us = Some(5_000);
     cfg.faults.slow_node(0, 4.0);
-    cfg.linear_sched = linear;
     cfg
 }
 
-/// Best-of-reps wall ms for one scheduler, plus the report for equivalence
-/// checking (identical across reps — the simulation is deterministic).
-fn time_sched(spec: &AppSpec, plan: &AppPlan, nodes: u32, linear: bool) -> (f64, RunReport) {
+/// Best-of-reps wall ms, plus the report (identical across reps — the
+/// simulation is deterministic).
+fn time_sched(spec: &AppSpec, plan: &AppPlan, nodes: u32) -> (f64, RunReport) {
     // Best-of-15: contention on the recording machine comes in bursts of
     // seconds, so spreading more ms-scale reps across a longer window is
     // what makes the minimum a stable estimate of the quiet-machine time.
@@ -132,7 +126,7 @@ fn time_sched(spec: &AppSpec, plan: &AppPlan, nodes: u32, linear: bool) -> (f64,
     let mut best_ms = f64::INFINITY;
     let mut report = None;
     for _ in 0..reps {
-        let cfg = sched_cfg(nodes, linear);
+        let cfg = sched_cfg(nodes);
         let sim = Simulation::new(spec, plan, ProfileMode::Recurring, cfg);
         let mut lru = refdist_policies::PolicyKind::Lru.build();
         let start = Instant::now();
@@ -147,8 +141,7 @@ fn time_sched(spec: &AppSpec, plan: &AppPlan, nodes: u32, linear: bool) -> (f64,
 /// footprint fits), delay scheduling, a straggler, and speculative
 /// execution — so per-task state transitions, slot selection, eviction and
 /// the per-stage completion-event queue are all on the measured path.
-/// `reference` flips every subsystem to its reference implementation at
-/// once: hash-backed block state, linear slot scans, binary-heap events.
+/// `reference` runs the engine on its hash-backed reference block state.
 fn throughput_cfg(spec: &AppSpec, nodes: u32, reference: bool) -> SimConfig {
     let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
     let mut cfg = SimConfig::new(ClusterConfig::tiny(
@@ -437,56 +430,37 @@ fn time_admission(specs: &[AppSpec], apps: u32, interned: bool) -> f64 {
 }
 
 fn main() {
-    let mut linear_records: Vec<Record> = Vec::new();
-    let mut indexed_records: Vec<Record> = Vec::new();
+    let mut records: Vec<Record> = Vec::new();
 
     let node_counts: &[u32] = if quick() { &[8, 32] } else { &[8, 32, 128, 256] };
 
     println!("== sched: wide app, delay scheduling on (ms, lower is better) ==");
-    println!(
-        "{:<8} {:>8} {:>12} {:>12} {:>9}",
-        "nodes", "tasks", "linear", "indexed", "speedup"
-    );
+    println!("{:<8} {:>8} {:>12}", "nodes", "tasks", "indexed");
     for &nodes in node_counts {
         let spec = sched_app(nodes);
         let plan = AppPlan::build(&spec);
-        let (linear_ms, linear_report) = time_sched(&spec, &plan, nodes, true);
-        let (indexed_ms, indexed_report) = time_sched(&spec, &plan, nodes, false);
-        assert_eq!(
-            format!("{linear_report:?}"),
-            format!("{indexed_report:?}"),
-            "schedulers disagree at {nodes} nodes"
-        );
+        let (indexed_ms, indexed_report) = time_sched(&spec, &plan, nodes);
         assert!(
-            linear_report.sched.remote_placements > 0,
-            "no migrations at {nodes} nodes — the global-scan path went unmeasured"
+            indexed_report.sched.remote_placements > 0,
+            "no migrations at {nodes} nodes — the global-slot path went unmeasured"
         );
         println!(
-            "{:<8} {:>8} {:>9.1} ms {:>9.1} ms {:>8.2}x",
-            nodes,
-            linear_report.tasks,
-            linear_ms,
-            indexed_ms,
-            linear_ms / indexed_ms
+            "{:<8} {:>8} {:>9.1} ms",
+            nodes, indexed_report.tasks, indexed_ms
         );
-        for (out, protocol, value) in [
-            (&mut linear_records, "linear", linear_ms),
-            (&mut indexed_records, "indexed", indexed_ms),
-        ] {
-            out.push(Record {
-                suite: "sched",
-                bench: "task_placement".into(),
-                policy: "LRU".into(),
-                blocks: nodes as usize,
-                protocol,
-                metric: "ms_total",
-                value,
-            });
-        }
+        records.push(Record {
+            suite: "sched",
+            bench: "task_placement".into(),
+            policy: "LRU".into(),
+            blocks: nodes as usize,
+            protocol: "indexed",
+            metric: "ms_total",
+            value: indexed_ms,
+        });
     }
 
     println!();
-    println!("== sim_throughput: full reference stack vs full engine (ms) ==");
+    println!("== sim_throughput: hash reference state vs dense engine (ms) ==");
     println!(
         "{:<8} {:>8} {:>12} {:>12} {:>9}",
         "nodes", "tasks", "reference", "engine", "speedup"
@@ -514,7 +488,7 @@ fn main() {
         // Distinct bench names: the regression guard joins on
         // (suite, bench, policy, blocks) and must track each stack apart.
         for (bench, value) in [("wide_app_ref", ref_ms), ("wide_app", eng_ms)] {
-            indexed_records.push(Record {
+            records.push(Record {
                 suite: "sim_throughput",
                 bench: bench.into(),
                 policy: "LRU".into(),
@@ -528,7 +502,7 @@ fn main() {
     if !quick() {
         // Mega smoke: ~a million tasks through the engine alone. The point
         // is that the calendar queue and dense task records keep per-task
-        // cost flat at a scale where the reference stack is O(minutes).
+        // cost flat at this scale.
         let nodes = 1024;
         let spec = sched_app_jobs(nodes, 60);
         let plan = AppPlan::build(&spec);
@@ -541,7 +515,7 @@ fn main() {
             eng_ms,
             eng_ms * 1e3 / eng_report.tasks as f64
         );
-        indexed_records.push(Record {
+        records.push(Record {
             suite: "sim_throughput",
             bench: "mega".into(),
             policy: "LRU".into(),
@@ -557,7 +531,7 @@ fn main() {
     for policy in [PolicySpec::Lru, PolicySpec::MrdFull] {
         let ms = time_macro(policy, refdist_cluster::FaultPlan::default());
         println!("{:<10} {:>9.0} ms", policy.name(), ms);
-        indexed_records.push(Record {
+        records.push(Record {
             suite: "macro",
             bench: "cc_sweep".into(),
             policy: policy.name().into(),
@@ -575,7 +549,7 @@ fn main() {
         println!("{:<10} {:>9.0} ms", "LRU", ms);
         // Distinct bench name: bench_diff joins on (suite, bench, policy,
         // blocks), and this run must not shadow the fault-free record.
-        indexed_records.push(Record {
+        records.push(Record {
             suite: "macro",
             bench: "cc_sweep_chaos".into(),
             policy: "LRU".into(),
@@ -597,7 +571,7 @@ fn main() {
         println!("{:<10} x{:<3} {:>9.0} ms", policy.name(), tenants, ms);
         // First baselined in BENCH_pr6.json; from this PR on the guard joins
         // these rows, covering the EventQueue-driven serve selection loop.
-        indexed_records.push(Record {
+        records.push(Record {
             suite: "serve",
             bench: "cc_stream".into(),
             policy: policy.name().into(),
@@ -673,7 +647,7 @@ fn main() {
             (upfront_bench, "ms_total", up_ms),
             (arena_bench, "peak_slots", st.peak_arena_slots as f64),
         ] {
-            indexed_records.push(Record {
+            records.push(Record {
                 suite: "serve_stream",
                 bench: bench.into(),
                 policy: "LRU".into(),
@@ -750,7 +724,7 @@ fn main() {
                 );
             }
         }
-        indexed_records.push(Record {
+        records.push(Record {
             suite: "serve_resilience",
             bench: bench.into(),
             policy: "LRU".into(),
@@ -768,7 +742,7 @@ fn main() {
                 ("shed", res.shed_count() as f64),
                 ("slo_met", slo_met as f64),
             ] {
-                indexed_records.push(Record {
+                records.push(Record {
                     suite: "serve_resilience",
                     bench: format!("{bench}_{suffix}"),
                     policy: "LRU".into(),
@@ -817,7 +791,7 @@ fn main() {
             _ => "tpl16",
         };
         for (protocol, value) in [("cold", cold_ms), ("interned", hot_ms)] {
-            indexed_records.push(Record {
+            records.push(Record {
                 suite: "admission",
                 bench: bench.into(),
                 policy: "LRU".into(),
@@ -829,17 +803,13 @@ fn main() {
         }
     }
 
-    for (path, records) in [
-        ("BENCH_sched_linear.json", &linear_records),
-        ("BENCH_pr10.json", &indexed_records),
-    ] {
-        let mut out = String::from("[\n");
-        for (i, r) in records.iter().enumerate() {
-            let sep = if i + 1 == records.len() { "\n" } else { ",\n" };
-            let _ = write!(out, "{}{}", r.to_json(), sep);
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path} ({} records)", records.len());
+    let path = "BENCH_pr10.json";
+    let mut out = String::from("[\n");
+    for (i, r) in records.iter().enumerate() {
+        let sep = if i + 1 == records.len() { "\n" } else { ",\n" };
+        let _ = write!(out, "{}{}", r.to_json(), sep);
     }
+    out.push_str("]\n");
+    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    println!("wrote {path} ({} records)", records.len());
 }

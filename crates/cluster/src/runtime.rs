@@ -42,9 +42,12 @@
 //! ## Scheduler index and shared artifacts
 //!
 //! Task placement runs off an incrementally maintained slot index
-//! ([`crate::sched::SlotIndex`]) instead of linear scans over every core;
-//! the original scans are kept behind [`SimConfig::linear_sched`] with the
-//! same byte-identical-placements guarantee (`tests/differential_sched.rs`).
+//! ([`crate::sched::SlotIndex`]) instead of linear scans over every core.
+//! Every slot free-time write goes through `Engine::set_slot`, which keeps
+//! the authoritative `slots` table and the index in step, and in debug
+//! builds both index queries are checked against the linear scans
+//! (`sched::linear_home`, `sched::linear_global`) over that table.
+//!
 //! Run-independent artifacts — the [`AppProfiler`] and the [`BlockSlots`]
 //! arena — are held as `Arc`s on [`Simulation`] so sweeps can build them
 //! once per workload ([`Simulation::with_artifacts`]) and every run of the
@@ -54,7 +57,7 @@
 use crate::config::SimConfig;
 use crate::faults::{FaultStats, StageAbort};
 use crate::report::{RunReport, SchedStats};
-use crate::sched::SlotIndex;
+use crate::sched::{linear_global, linear_home, SlotIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use refdist_core::{AppProfiler, ProfileMode};
@@ -352,10 +355,8 @@ pub(crate) struct Engine<'a> {
     net: Vec<FifoResource>,
     /// Per node, per core: time the slot becomes free (authoritative).
     slots: Vec<Vec<SimTime>>,
-    /// Ordered mirror of `slots` for O(log n) placement; `None` when the
-    /// linear reference scheduler is in use (`cfg.linear_sched` or
-    /// `cfg.reference_state`).
-    sched: Option<SlotIndex>,
+    /// Ordered mirror of `slots` for O(log n) placement.
+    sched: SlotIndex,
     /// Home vs delay-scheduled-remote placement counters.
     sched_stats: SchedStats,
     /// Per-task `(node, slot, start)` log (`cfg.collect_placements`).
@@ -406,8 +407,7 @@ pub(crate) struct Engine<'a> {
     /// Prefetch candidate buffer, reused across nodes and stages (dense
     /// mode; the reference path keeps its per-stage allocation).
     missing_buf: Vec<BlockId>,
-    /// Task-completion event queue for the speculation threshold: calendar
-    /// by default, heap under `cfg.heap_events`/`reference_state`.
+    /// Task-completion event queue for the speculation threshold.
     events: EventQueue<u32>,
 
     /// Per-node prefetch thresholds (adaptive when configured).
@@ -624,17 +624,11 @@ impl<'a> Engine<'a> {
         s.purge_buf.clear();
         s.stage_tasks.clear();
         s.missing_buf.clear();
-        if s.events.is_heap() == cfg.use_heap_events() {
-            s.events.clear();
-        } else {
-            s.events = EventQueue::with_heap(cfg.use_heap_events());
-        }
-        let sched = (!reference && !cfg.linear_sched).then(|| {
-            SlotIndex::new(
-                &s.slots,
-                cfg.delay_scheduling_us.is_some() || cfg.faults.needs_global_slots(),
-            )
-        });
+        s.events.clear();
+        let sched = SlotIndex::new(
+            &s.slots,
+            cfg.delay_scheduling_us.is_some() || cfg.faults.needs_global_slots(),
+        );
         // Churn: draw every node's initial time-to-failure up front, in node
         // order, so the draw sequence is fixed by the seed alone.
         let churn_on = cfg.faults.churn.is_some();
@@ -1326,10 +1320,7 @@ impl<'a> Engine<'a> {
         self.fail_node(node, policy);
         self.down[node] = true;
         for slot in 0..self.slots[node].len() {
-            let old = std::mem::replace(&mut self.slots[node][slot], NODE_DOWN);
-            if let Some(idx) = &mut self.sched {
-                idx.commit(node, slot, old, NODE_DOWN);
-            }
+            self.set_slot(node, slot, NODE_DOWN);
         }
     }
 
@@ -1340,10 +1331,7 @@ impl<'a> Engine<'a> {
         self.down[node] = false;
         self.rejoin_at[node] = None;
         for slot in 0..self.slots[node].len() {
-            let old = std::mem::replace(&mut self.slots[node][slot], self.now);
-            if let Some(idx) = &mut self.sched {
-                idx.commit(node, slot, old, self.now);
-            }
+            self.set_slot(node, slot, self.now);
         }
         policy.on_node_join(NodeId(node as u32));
         self.fstats.rejoins += 1;
@@ -1453,23 +1441,24 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Cluster-wide earliest free slot `(node, slot, free_time)`: O(log n)
-    /// from the index, or the reference flat scan. Down nodes carry the
-    /// `NODE_DOWN` free time, so neither path ever picks one while any live
-    /// slot exists.
+    /// Cluster-wide earliest free slot `(node, slot, free_time)`, O(log n)
+    /// from the index. Down nodes carry the `NODE_DOWN` free time, so it is
+    /// never one of theirs while any live slot exists.
     fn earliest_global_slot(&self) -> (usize, usize, SimTime) {
-        match &self.sched {
-            Some(idx) => idx.earliest_global(),
-            None => (0..self.nodes)
-                .flat_map(|n| {
-                    self.slots[n]
-                        .iter()
-                        .enumerate()
-                        .map(move |(i, &t)| (n, i, t))
-                })
-                .min_by_key(|&(n, i, t)| (t, n, i))
-                .expect("cluster has slots"),
-        }
+        let pick = self.sched.earliest_global();
+        debug_assert_eq!(
+            pick,
+            linear_global(&self.slots),
+            "global slot index diverged"
+        );
+        pick
+    }
+
+    /// Set `(node, slot)`'s free time in the slot table and the index
+    /// together — the only way either is written after construction.
+    fn set_slot(&mut self, node: usize, slot: usize, free: SimTime) {
+        let old = std::mem::replace(&mut self.slots[node][slot], free);
+        self.sched.commit(node, slot, old, free);
     }
 
     /// Run all tasks of a stage; returns the stage end time.
@@ -1488,27 +1477,20 @@ impl<'a> Engine<'a> {
         }
         for p in 0..stage.num_tasks {
             let home = self.home(p);
-            // Earliest-free slot on the home node: O(log cores) from the
-            // index, or the reference linear scan. Both break free-time ties
-            // on the lowest slot index. A down home node has no slots to
-            // offer; its tasks run on the cluster-wide earliest slot.
+            // Earliest-free slot on the home node, O(log cores) from the
+            // index; free-time ties break on the lowest slot index. A down
+            // home node has no slots to offer; its tasks run on the
+            // cluster-wide earliest slot.
             let (mut node, mut slot_idx, mut slot_free) = if self.down[home] {
                 self.earliest_global_slot()
             } else {
-                match &self.sched {
-                    Some(idx) => {
-                        let (i, t) = idx.earliest_on(home);
-                        (home, i, t)
-                    }
-                    None => {
-                        let (i, &t) = self.slots[home]
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(i, &t)| (t, *i))
-                            .expect("nodes have at least one core");
-                        (home, i, t)
-                    }
-                }
+                let (i, t) = self.sched.earliest_on(home);
+                debug_assert_eq!(
+                    (i, t),
+                    linear_home(&self.slots[home]),
+                    "slot index diverged"
+                );
+                (home, i, t)
             };
             // Delay scheduling: if enabled and the home node keeps the task
             // waiting too long past the globally earliest slot, run it
@@ -1561,10 +1543,7 @@ impl<'a> Engine<'a> {
                 attempt_start = end + SimDuration::from_micros(backoff);
             };
 
-            let old = std::mem::replace(&mut self.slots[node][slot_idx], task_end);
-            if let Some(idx) = &mut self.sched {
-                idx.commit(node, slot_idx, old, task_end);
-            }
+            self.set_slot(node, slot_idx, task_end);
             self.tasks_run += 1;
             stage_end = stage_end.max(task_end);
             if self.aborted.is_some() {
@@ -1678,10 +1657,7 @@ impl<'a> Engine<'a> {
             self.fstats.spec_launched += 1;
             let copy_start = free.max(threshold);
             let copy_end = self.run_attempt(stage, p, node, copy_start, policy);
-            let old = std::mem::replace(&mut self.slots[node][slot_idx], copy_end);
-            if let Some(idx) = &mut self.sched {
-                idx.commit(node, slot_idx, old, copy_end);
-            }
+            self.set_slot(node, slot_idx, copy_end);
             if copy_end < end {
                 self.fstats.spec_wins += 1;
                 stage_end = stage_end.max(copy_end);
@@ -1689,11 +1665,7 @@ impl<'a> Engine<'a> {
                 // its slot, the slot frees at the kill (never before the
                 // attempt began — a kill cannot rewind the schedule).
                 if self.slots[onode][oslot] == end {
-                    let kill = copy_end.max(ostart);
-                    let prev = std::mem::replace(&mut self.slots[onode][oslot], kill);
-                    if let Some(idx) = &mut self.sched {
-                        idx.commit(onode, oslot, prev, kill);
-                    }
+                    self.set_slot(onode, oslot, copy_end.max(ostart));
                 }
             } else {
                 self.fstats.spec_losses += 1;

@@ -1,29 +1,51 @@
 //! Incrementally maintained task-slot index for the scheduler hot path.
 //!
-//! The original scheduler (kept behind [`crate::SimConfig::linear_sched`] as
-//! the reference implementation) finds a task's slot by scanning: a
-//! `min_by_key` over the home node's cores per task, plus — when delay
-//! scheduling is on — a flat-map over *all* nodes × cores per task for the
-//! cluster-wide earliest slot. Both scans are linear in cluster size, which
-//! dominates large-cluster runs (O(tasks × nodes × cores) per stage).
+//! A linear scheduler finds a task's slot by scanning: a `min_by_key` over
+//! the home node's cores per task, plus — when delay scheduling is on — a
+//! flat-map over *all* nodes × cores per task for the cluster-wide earliest
+//! slot. Both scans are linear in cluster size, which dominates
+//! large-cluster runs (O(tasks × nodes × cores) per stage).
 //!
 //! [`SlotIndex`] keeps the same information in ordered sets updated in
 //! O(log n) per task completion:
 //!
 //! * per node, a `BTreeSet<(free_time, slot)>` whose `first()` is exactly
-//!   the linear scan's `min_by_key(|(i, &t)| (t, *i))` — earliest free
+//!   [`linear_home`]'s `min_by_key(|(i, &t)| (t, *i))` — earliest free
 //!   time, lowest slot index on a tie;
 //! * cluster-wide, a `BTreeSet<(free_time, node, slot)>` whose `first()` is
-//!   exactly the flat-map's `min_by_key(|&(n, i, t)| (t, n, i))` — earliest
-//!   free time, then lowest node, then lowest slot. Maintained only when
-//!   delay scheduling can ask for it.
+//!   exactly [`linear_global`]'s `min_by_key(|&(n, i, t)| (t, n, i))` —
+//!   earliest free time, then lowest node, then lowest slot. Maintained
+//!   only when delay scheduling can ask for it.
 //!
-//! Tie-breaking equivalence is enforced by the scheduler differential tests
-//! (`tests/differential_sched.rs`), which require byte-identical placement
-//! sequences from both schedulers across randomized configurations.
+//! The two scans stay here as the index's oracle. The engine
+//! `debug_assert`s every index query against them over its authoritative
+//! slot table, so every debug-build simulation checks each placement, and
+//! the unit tests below drive the index through random commits.
 
 use refdist_simcore::SimTime;
 use std::collections::BTreeSet;
+
+/// Earliest-free slot of one node by linear scan: `(slot, free_time)`,
+/// lowest slot index on ties. The oracle for [`SlotIndex::earliest_on`].
+pub(crate) fn linear_home(slots: &[SimTime]) -> (usize, SimTime) {
+    let (i, &t) = slots
+        .iter()
+        .enumerate()
+        .min_by_key(|(i, &t)| (t, *i))
+        .expect("nodes have at least one core");
+    (i, t)
+}
+
+/// Cluster-wide earliest slot by linear scan: `(node, slot, free_time)`,
+/// lowest node then lowest slot on ties. The oracle for
+/// [`SlotIndex::earliest_global`].
+pub(crate) fn linear_global(free: &[Vec<SimTime>]) -> (usize, usize, SimTime) {
+    free.iter()
+        .enumerate()
+        .flat_map(|(n, slots)| slots.iter().enumerate().map(move |(i, &t)| (n, i, t)))
+        .min_by_key(|&(n, i, t)| (t, n, i))
+        .expect("cluster has slots")
+}
 
 /// Ordered view over per-node task-slot free times. The authoritative free
 /// times stay in the engine's `slots` table; the index mirrors them.
@@ -97,7 +119,8 @@ impl SlotIndex {
         debug_assert!(removed, "index out of sync with the slot table");
         self.per_node[node].insert((new, slot as u32));
         if let Some(g) = &mut self.global {
-            g.remove(&(old, node as u32, slot as u32));
+            let removed = g.remove(&(old, node as u32, slot as u32));
+            debug_assert!(removed, "global index out of sync with the slot table");
             g.insert((new, node as u32, slot as u32));
         }
     }
@@ -106,24 +129,6 @@ impl SlotIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The linear scans the index replaces, verbatim.
-    fn linear_home(slots: &[SimTime]) -> (usize, SimTime) {
-        let (i, &t) = slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, &t)| (t, *i))
-            .unwrap();
-        (i, t)
-    }
-
-    fn linear_global(free: &[Vec<SimTime>]) -> (usize, usize, SimTime) {
-        free.iter()
-            .enumerate()
-            .flat_map(|(n, slots)| slots.iter().enumerate().map(move |(i, &t)| (n, i, t)))
-            .min_by_key(|&(n, i, t)| (t, n, i))
-            .unwrap()
-    }
 
     #[test]
     fn matches_linear_scans_through_random_commits() {
@@ -160,6 +165,18 @@ mod tests {
         let idx = SlotIndex::new(&free, true);
         assert_eq!(idx.earliest_on(0), (1, SimTime(2)));
         assert_eq!(idx.earliest_global(), (0, 1, SimTime(2)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "global index out of sync")]
+    fn global_drift_is_caught_at_commit() {
+        let free = vec![vec![SimTime::ZERO; 2]; 2];
+        let mut idx = SlotIndex::new(&free, true);
+        // Per-node sets intact, global order lost: only the global removal
+        // can notice.
+        idx.global.as_mut().unwrap().clear();
+        idx.commit(1, 0, SimTime::ZERO, SimTime(5));
     }
 
     #[test]

@@ -693,36 +693,25 @@ struct UpfrontArtifacts {
 /// order — equivalence reduces to the `advance` bodies.
 fn drive(
     sched: ServeSched,
-    use_heap: bool,
     arrivals: &[u64],
     mut advance: impl FnMut(usize) -> (bool, u64),
 ) {
     match sched {
         ServeSched::Fifo => {
             // Arrived submissions run to completion in `(arrival, index)`
-            // order. The event queue pops exactly that order: every app
-            // is scheduled once, in index order, so the queue's FIFO
-            // sequence tie-break equals the reference scan's
-            // smallest-index tie-break. Calendar-backed by default, heap
-            // under `heap_events`/`reference_state`.
-            let mut q: refdist_simcore::EventQueue<u32> =
-                refdist_simcore::EventQueue::with_heap(use_heap);
-            q.reserve(arrivals.len());
-            for (i, &at) in arrivals.iter().enumerate() {
-                q.schedule(SimTime(at), i as u32);
-            }
-            while let Some((_, i)) = q.pop() {
-                let a = i as usize;
+            // order.
+            let mut order: Vec<usize> = (0..arrivals.len()).collect();
+            order.sort_unstable_by_key(|&a| (arrivals[a], a));
+            for a in order {
                 while !advance(a).0 {}
             }
         }
         ServeSched::FairShare => {
             // Ready set ordered by `(app clock, submission index)`:
             // O(log n) per stage instead of the old O(n) rescan. Clocks
-            // change every stage, so the reference tie-break (smallest
-            // index among equal clocks) must come from the composite
-            // key, not queue insertion order — which is why this is a
-            // `BTreeSet` and not the FIFO event queue.
+            // change every stage, so an app is re-keyed after each one, and
+            // the tie-break (smallest index among equal clocks) comes from
+            // the composite key.
             let mut ready: std::collections::BTreeSet<(u64, usize)> =
                 arrivals.iter().enumerate().map(|(i, &at)| (at, i)).collect();
             while let Some(&(k, i)) = ready.iter().next() {
@@ -980,7 +969,7 @@ impl<'a> ServeSim<'a> {
             peaks.active_apps = peaks.active_apps.max(live_now);
             (done[a], states[a].now.0)
         };
-        drive(self.cfg.sched, cfg.use_heap_events(), &arrivals, advance);
+        drive(self.cfg.sched, &arrivals, advance);
 
         // Only the deadline can be non-passive here (dispatch rejects the
         // rest): pure post-hoc accounting over an unchanged run.
@@ -1264,7 +1253,7 @@ impl<'a> ServeSim<'a> {
             peaks.active_apps = peaks.active_apps.max(mux.active_apps() as u64);
             (done[a], states[a].now.0)
         };
-        drive(self.cfg.sched, cfg.use_heap_events(), &arrivals, advance);
+        drive(self.cfg.sched, &arrivals, advance);
 
         let distinct = templates.len();
         let resilience = (!res.is_passive()).then_some(ResilienceReport {
@@ -1766,6 +1755,17 @@ mod tests {
         assert_eq!(sr.reports.len(), 1);
         assert_eq!(format!("{legacy:?}"), format!("{:?}", sr.reports[0]));
         assert_eq!(sr.makespan, legacy.jct);
+    }
+
+    #[test]
+    fn fifo_drive_runs_apps_in_arrival_then_index_order() {
+        // Equal arrivals run in submission order.
+        let mut ran = Vec::new();
+        drive(ServeSched::Fifo, &[5, 0, 5, 0], |a| {
+            ran.push(a);
+            (true, 0)
+        });
+        assert_eq!(ran, vec![1, 3, 0, 2]);
     }
 
     #[test]

@@ -9,86 +9,14 @@
 //! to a run that predates the subsystem entirely. This is what keeps every
 //! golden file, BENCH number, and sweep key from PRs 1–4 valid.
 
+mod common;
+
+use common::{Log, Recorder};
 use proptest::prelude::*;
 use refdist_cluster::{ClusterConfig, FaultPlan, RunReport, SimConfig, Simulation};
 use refdist_core::{MrdPolicy, ProfileMode};
-use refdist_dag::{AppBuilder, AppPlan, AppSpec, BlockId, BlockSlots, StorageLevel};
+use refdist_dag::{AppBuilder, AppPlan, AppSpec, StorageLevel};
 use refdist_policies::{CachePolicy, PolicyKind};
-use refdist_store::NodeId;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Logs every eviction batch and purge decision so runs can be compared on
-/// their decision *sequences*, not just aggregate counters.
-struct Recorder {
-    inner: Box<dyn CachePolicy>,
-    victims: Vec<(NodeId, Vec<BlockId>)>,
-    purges: Vec<Vec<BlockId>>,
-}
-
-impl Recorder {
-    fn new(inner: Box<dyn CachePolicy>) -> Self {
-        Recorder {
-            inner,
-            victims: Vec::new(),
-            purges: Vec::new(),
-        }
-    }
-}
-
-impl CachePolicy for Recorder {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        self.inner.attach_slots(slots);
-    }
-    fn on_job_submit(&mut self, job: refdist_dag::JobId, visible: &refdist_dag::AppProfile) {
-        self.inner.on_job_submit(job, visible);
-    }
-    fn on_stage_start(&mut self, stage: refdist_dag::StageId, visible: &refdist_dag::AppProfile) {
-        self.inner.on_stage_start(stage, visible);
-    }
-    fn on_insert(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_insert(node, block);
-    }
-    fn on_access(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_access(node, block);
-    }
-    fn on_remove(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_remove(node, block);
-    }
-    fn on_node_join(&mut self, node: NodeId) {
-        self.inner.on_node_join(node);
-    }
-    fn pick_victim(&mut self, node: NodeId, candidates: &[BlockId]) -> Option<BlockId> {
-        self.inner.pick_victim(node, candidates)
-    }
-    fn select_victims(
-        &mut self,
-        node: NodeId,
-        shortfall: u64,
-        resident: &BTreeMap<BlockId, u64>,
-    ) -> Vec<BlockId> {
-        let v = self.inner.select_victims(node, shortfall, resident);
-        self.victims.push((node, v.clone()));
-        v
-    }
-    fn purge_candidates(&mut self, in_memory: &[BlockId]) -> Vec<BlockId> {
-        let p = self.inner.purge_candidates(in_memory);
-        self.purges.push(p.clone());
-        p
-    }
-    fn prefetch_order(&mut self, node: NodeId, missing: &[BlockId]) -> Vec<BlockId> {
-        self.inner.prefetch_order(node, missing)
-    }
-    fn wants_prefetch(&self) -> bool {
-        self.inner.wants_prefetch()
-    }
-    fn wants_purge(&self) -> bool {
-        self.inner.wants_purge()
-    }
-}
 
 #[derive(Debug, Clone)]
 struct Params {
@@ -160,10 +88,10 @@ fn all_policies() -> Vec<(&'static str, Build)> {
     ]
 }
 
-fn run_once(spec: &AppSpec, plan: &AppPlan, cfg: SimConfig, build: &Build) -> (RunReport, Recorder) {
-    let mut rec = Recorder::new(build());
+fn run_once(spec: &AppSpec, plan: &AppPlan, cfg: SimConfig, build: &Build) -> (RunReport, Log) {
+    let (mut rec, log) = Recorder::wrap(build());
     let report = Simulation::new(spec, plan, ProfileMode::Recurring, cfg).run(&mut rec);
-    (report, rec)
+    (report, common::snapshot(&log))
 }
 
 fn assert_invisible(p: &Params) {

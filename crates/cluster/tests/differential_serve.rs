@@ -11,105 +11,17 @@
 //! task placements included) and identical victim/purge decision sequences
 //! as observed through the policy interface.
 
+mod common;
+
+use common::{Log, Recorder, SharedLog};
 use proptest::prelude::*;
 use refdist_cluster::{
     ArrivalProcess, ClusterConfig, QuotaKind, RunReport, ServeConfig, ServeReport, ServeSched,
     ServeSim, SimConfig, Simulation,
 };
 use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy, ProfileMode};
-use refdist_dag::{AppBuilder, AppPlan, AppSpec, BlockId, BlockSlots, StorageLevel};
+use refdist_dag::{AppBuilder, AppPlan, AppSpec, StorageLevel};
 use refdist_policies::{CachePolicy, PolicyKind};
-use refdist_store::NodeId;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-
-/// Decision log shared between the test and a [`Recorder`] that gets moved
-/// into the serve driver (which consumes its policies).
-#[derive(Default)]
-struct DecisionLog {
-    victims: Mutex<Vec<(NodeId, Vec<BlockId>)>>,
-    purges: Mutex<Vec<Vec<BlockId>>>,
-}
-
-type VictimLog = Vec<(NodeId, Vec<BlockId>)>;
-type PurgeLog = Vec<Vec<BlockId>>;
-
-impl DecisionLog {
-    fn snapshot(&self) -> (VictimLog, PurgeLog) {
-        (
-            self.victims.lock().unwrap().clone(),
-            self.purges.lock().unwrap().clone(),
-        )
-    }
-}
-
-/// Wraps a policy and logs every eviction batch and purge decision into a
-/// shared [`DecisionLog`], so runs that consume the policy (the serve
-/// driver) can still be compared on their decision sequences.
-struct Recorder {
-    inner: Box<dyn CachePolicy>,
-    log: Arc<DecisionLog>,
-}
-
-impl Recorder {
-    fn new(inner: Box<dyn CachePolicy>, log: Arc<DecisionLog>) -> Self {
-        Recorder { inner, log }
-    }
-}
-
-impl CachePolicy for Recorder {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        self.inner.attach_slots(slots);
-    }
-    fn on_job_submit(&mut self, job: refdist_dag::JobId, visible: &refdist_dag::AppProfile) {
-        self.inner.on_job_submit(job, visible);
-    }
-    fn on_stage_start(&mut self, stage: refdist_dag::StageId, visible: &refdist_dag::AppProfile) {
-        self.inner.on_stage_start(stage, visible);
-    }
-    fn on_insert(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_insert(node, block);
-    }
-    fn on_access(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_access(node, block);
-    }
-    fn on_remove(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_remove(node, block);
-    }
-    fn on_node_join(&mut self, node: NodeId) {
-        self.inner.on_node_join(node);
-    }
-    fn pick_victim(&mut self, node: NodeId, candidates: &[BlockId]) -> Option<BlockId> {
-        self.inner.pick_victim(node, candidates)
-    }
-    fn select_victims(
-        &mut self,
-        node: NodeId,
-        shortfall: u64,
-        resident: &BTreeMap<BlockId, u64>,
-    ) -> Vec<BlockId> {
-        let v = self.inner.select_victims(node, shortfall, resident);
-        self.log.victims.lock().unwrap().push((node, v.clone()));
-        v
-    }
-    fn purge_candidates(&mut self, in_memory: &[BlockId]) -> Vec<BlockId> {
-        let p = self.inner.purge_candidates(in_memory);
-        self.log.purges.lock().unwrap().push(p.clone());
-        p
-    }
-    fn prefetch_order(&mut self, node: NodeId, missing: &[BlockId]) -> Vec<BlockId> {
-        self.inner.prefetch_order(node, missing)
-    }
-    fn wants_prefetch(&self) -> bool {
-        self.inner.wants_prefetch()
-    }
-    fn wants_purge(&self) -> bool {
-        self.inner.wants_purge()
-    }
-}
 
 /// Parameters of a randomized iterative application.
 #[derive(Debug, Clone)]
@@ -222,26 +134,19 @@ fn all_policies() -> Vec<(&'static str, Build)> {
     v
 }
 
-fn run_legacy(
-    spec: &AppSpec,
-    plan: &AppPlan,
-    cfg: SimConfig,
-    build: &Build,
-) -> (RunReport, Arc<DecisionLog>) {
-    let log = Arc::new(DecisionLog::default());
-    let mut rec = Recorder::new(build(), Arc::clone(&log));
+fn run_legacy(spec: &AppSpec, plan: &AppPlan, cfg: SimConfig, build: &Build) -> (RunReport, Log) {
+    let (mut rec, log) = Recorder::wrap(build());
     let report = Simulation::new(spec, plan, ProfileMode::Recurring, cfg).run(&mut rec);
-    (report, log)
+    (report, common::snapshot(&log))
 }
 
-fn run_serve(spec: &AppSpec, cfg: SimConfig, build: &Build) -> (RunReport, Arc<DecisionLog>) {
-    let log = Arc::new(DecisionLog::default());
-    let rec = Recorder::new(build(), Arc::clone(&log));
+fn run_serve(spec: &AppSpec, cfg: SimConfig, build: &Build) -> (RunReport, Log) {
+    let (rec, log) = Recorder::wrap(build());
     let serve = ServeSim::new(&[(spec, 0)], ServeConfig::passthrough(cfg));
     let mut sr = serve.run(vec![Box::new(rec)]);
     assert_eq!(sr.reports.len(), 1);
     assert_eq!(sr.makespan, sr.reports[0].jct);
-    (sr.reports.remove(0), log)
+    (sr.reports.remove(0), common::snapshot(&log))
 }
 
 fn assert_equivalent(p: &AppParams, c: &CfgParams) {
@@ -255,10 +160,14 @@ fn assert_equivalent(p: &AppParams, c: &CfgParams) {
             format!("{serve_report:?}"),
             "report diverged for {name} on {p:?} {c:?}"
         );
-        let (lv, lp) = legacy_log.snapshot();
-        let (sv, sp) = serve_log.snapshot();
-        assert_eq!(lv, sv, "victim sequence diverged for {name} on {p:?} {c:?}");
-        assert_eq!(lp, sp, "purge sequence diverged for {name} on {p:?} {c:?}");
+        assert_eq!(
+            legacy_log.victims, serve_log.victims,
+            "victim sequence diverged for {name} on {p:?} {c:?}"
+        );
+        assert_eq!(
+            legacy_log.purges, serve_log.purges,
+            "purge sequence diverged for {name} on {p:?} {c:?}"
+        );
     }
 }
 
@@ -338,12 +247,7 @@ struct StreamParams {
     poisson: bool,
 }
 
-fn run_stream(
-    p: &StreamParams,
-    c: &CfgParams,
-    upfront: bool,
-    intern: bool,
-) -> (ServeReport, (VictimLog, PurgeLog)) {
+fn run_stream(p: &StreamParams, c: &CfgParams, upfront: bool, intern: bool) -> (ServeReport, Log) {
     run_stream_with(p, c, upfront, intern, &|_| {})
 }
 
@@ -353,7 +257,7 @@ fn run_stream_with(
     upfront: bool,
     intern: bool,
     tweak: &dyn Fn(&mut ServeConfig),
-) -> (ServeReport, (VictimLog, PurgeLog)) {
+) -> (ServeReport, Log) {
     let n = p.gaps.len() + 1;
     let specs: Vec<AppSpec> = (0..n)
         .map(|i| {
@@ -402,21 +306,18 @@ fn run_stream_with(
     let serve = ServeSim::new(&subs, cfg);
     // One shared log across every submission's recorder: the *global*
     // victim/purge call sequence must match, interleaving included.
-    let log = Arc::new(DecisionLog::default());
+    let log = SharedLog::default();
     let fams = all_policies();
     let policies: Vec<Box<dyn CachePolicy>> = (0..n)
-        .map(|i| {
-            Box::new(Recorder::new(fams[i % fams.len()].1(), Arc::clone(&log)))
-                as Box<dyn CachePolicy>
-        })
+        .map(|i| Box::new(Recorder::new(fams[i % fams.len()].1(), &log)) as Box<dyn CachePolicy>)
         .collect();
     let report = serve.run(policies);
-    (report, log.snapshot())
+    (report, common::snapshot(&log))
 }
 
 fn assert_stream_equivalent(p: &StreamParams, c: &CfgParams) {
-    let (up, (uv, upu)) = run_stream(p, c, true, true);
-    let (st, (sv, spu)) = run_stream(p, c, false, true);
+    let (up, ulog) = run_stream(p, c, true, true);
+    let (st, slog) = run_stream(p, c, false, true);
     assert_eq!(
         format!("{:?}", up.reports),
         format!("{:?}", st.reports),
@@ -431,8 +332,8 @@ fn assert_stream_equivalent(p: &StreamParams, c: &CfgParams) {
     );
     assert_eq!(up.makespan, st.makespan, "{p:?} {c:?}");
     assert_eq!(up.summary(), st.summary(), "{p:?} {c:?}");
-    assert_eq!(uv, sv, "victim sequence diverged on {p:?} {c:?}");
-    assert_eq!(upu, spu, "purge sequence diverged on {p:?} {c:?}");
+    assert_eq!(ulog.victims, slog.victims, "victim sequence diverged on {p:?} {c:?}");
+    assert_eq!(ulog.purges, slog.purges, "purge sequence diverged on {p:?} {c:?}");
     // Residency is identical moment for moment, so the sampled peaks agree
     // exactly; the streaming arena must never exceed the upfront one (which
     // holds the whole stream).
@@ -451,8 +352,8 @@ fn assert_stream_equivalent(p: &StreamParams, c: &CfgParams) {
 /// scratch. The planner and analyzer are deterministic, so a template cache
 /// hit followed by an offset rebase has to reproduce `plan_one` exactly.
 fn assert_interned_equivalent(p: &StreamParams, c: &CfgParams) {
-    let (cold, (cv, cp)) = run_stream(p, c, false, false);
-    let (hot, (hv, hp)) = run_stream(p, c, false, true);
+    let (cold, clog) = run_stream(p, c, false, false);
+    let (hot, hlog) = run_stream(p, c, false, true);
     assert_eq!(
         format!("{:?}", cold.reports),
         format!("{:?}", hot.reports),
@@ -460,8 +361,8 @@ fn assert_interned_equivalent(p: &StreamParams, c: &CfgParams) {
     );
     assert_eq!(cold.summary(), hot.summary(), "{p:?} {c:?}");
     assert_eq!(cold.cross_evictions, hot.cross_evictions, "{p:?} {c:?}");
-    assert_eq!(cv, hv, "victim sequence diverged on {p:?} {c:?}");
-    assert_eq!(cp, hp, "purge sequence diverged on {p:?} {c:?}");
+    assert_eq!(clog.victims, hlog.victims, "victim sequence diverged on {p:?} {c:?}");
+    assert_eq!(clog.purges, hlog.purges, "purge sequence diverged on {p:?} {c:?}");
     // Cold admission never touches the template cache; interned admission is
     // bounded by template diversity: `vary` cycles iters over 1 + (i % 3).
     assert_eq!(cold.distinct_templates, 0);

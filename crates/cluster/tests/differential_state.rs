@@ -10,87 +10,14 @@
 //! victim/purge decision sequences as observed through the policy
 //! interface.
 
+mod common;
+
+use common::{Log, Recorder};
 use proptest::prelude::*;
 use refdist_cluster::{ClusterConfig, RunReport, SimConfig, Simulation};
 use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy, ProfileMode};
-use refdist_dag::{AppPlan, AppSpec, AppBuilder, BlockId, BlockSlots, StorageLevel};
+use refdist_dag::{AppPlan, AppSpec, AppBuilder, StorageLevel};
 use refdist_policies::{CachePolicy, PolicyKind};
-use refdist_store::NodeId;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Wraps a policy and logs every eviction batch and purge decision, so the
-/// reference and dense runs can be compared on their *decision sequences*,
-/// not just the aggregate report.
-struct Recorder {
-    inner: Box<dyn CachePolicy>,
-    victims: Vec<(NodeId, Vec<BlockId>)>,
-    purges: Vec<Vec<BlockId>>,
-}
-
-impl Recorder {
-    fn new(inner: Box<dyn CachePolicy>) -> Self {
-        Recorder {
-            inner,
-            victims: Vec::new(),
-            purges: Vec::new(),
-        }
-    }
-}
-
-impl CachePolicy for Recorder {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        self.inner.attach_slots(slots);
-    }
-    fn on_job_submit(&mut self, job: refdist_dag::JobId, visible: &refdist_dag::AppProfile) {
-        self.inner.on_job_submit(job, visible);
-    }
-    fn on_stage_start(&mut self, stage: refdist_dag::StageId, visible: &refdist_dag::AppProfile) {
-        self.inner.on_stage_start(stage, visible);
-    }
-    fn on_insert(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_insert(node, block);
-    }
-    fn on_access(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_access(node, block);
-    }
-    fn on_remove(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_remove(node, block);
-    }
-    fn on_node_join(&mut self, node: NodeId) {
-        self.inner.on_node_join(node);
-    }
-    fn pick_victim(&mut self, node: NodeId, candidates: &[BlockId]) -> Option<BlockId> {
-        self.inner.pick_victim(node, candidates)
-    }
-    fn select_victims(
-        &mut self,
-        node: NodeId,
-        shortfall: u64,
-        resident: &BTreeMap<BlockId, u64>,
-    ) -> Vec<BlockId> {
-        let v = self.inner.select_victims(node, shortfall, resident);
-        self.victims.push((node, v.clone()));
-        v
-    }
-    fn purge_candidates(&mut self, in_memory: &[BlockId]) -> Vec<BlockId> {
-        let p = self.inner.purge_candidates(in_memory);
-        self.purges.push(p.clone());
-        p
-    }
-    fn prefetch_order(&mut self, node: NodeId, missing: &[BlockId]) -> Vec<BlockId> {
-        self.inner.prefetch_order(node, missing)
-    }
-    fn wants_prefetch(&self) -> bool {
-        self.inner.wants_prefetch()
-    }
-    fn wants_purge(&self) -> bool {
-        self.inner.wants_purge()
-    }
-}
 
 /// Parameters of a randomized iterative application.
 #[derive(Debug, Clone)]
@@ -203,10 +130,10 @@ fn all_policies() -> Vec<(&'static str, Build)> {
     v
 }
 
-fn run_once(spec: &AppSpec, plan: &AppPlan, cfg: SimConfig, build: &Build) -> (RunReport, Recorder) {
-    let mut rec = Recorder::new(build());
+fn run_once(spec: &AppSpec, plan: &AppPlan, cfg: SimConfig, build: &Build) -> (RunReport, Log) {
+    let (mut rec, log) = Recorder::wrap(build());
     let report = Simulation::new(spec, plan, ProfileMode::Recurring, cfg).run(&mut rec);
-    (report, rec)
+    (report, common::snapshot(&log))
 }
 
 fn assert_equivalent(p: &AppParams, c: &CfgParams) {

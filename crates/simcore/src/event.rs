@@ -1,25 +1,23 @@
-//! Deterministic event queue.
+//! Deterministic event queue: a bucketed *calendar queue*.
 //!
-//! Two interchangeable backends behind one API, both keyed on a single
-//! packed `(time, seq)` `u128` so events scheduled at the same virtual time
-//! pop in the order they were pushed (FIFO among ties), which makes the
-//! whole simulation a pure function of its inputs:
+//! Every event carries a single packed `(time, seq)` `u128` key, so events
+//! scheduled at the same virtual time pop in the order they were pushed
+//! (FIFO among ties), which makes the whole simulation a pure function of
+//! its inputs. Virtual time is divided into power-of-two-width "days"; day
+//! `d` maps to bucket `d & (nbuckets - 1)`. Buckets are plain `Vec`s held in
+//! descending key order, so the next event is always `Vec::pop` off the
+//! back; pushes append and the bucket is re-sorted lazily when the day
+//! pointer rotates into it. With the bucket count tracking occupancy and
+//! the day width tracking the mean event gap, schedule/pop are amortized
+//! O(1). The packed key means rotation and resize can never reorder ties:
+//! order is decided by the key alone, never by bucket layout.
 //!
-//! * [`EventQueue::heap`] — the original binary min-heap. O(log n) per op,
-//!   kept as the reference backend (`SimConfig::heap_events` upstream).
-//! * [`EventQueue::new`] — a bucketed *calendar queue* (the default).
-//!   Virtual time is divided into power-of-two-width "days"; day `d` maps to
-//!   bucket `d & (nbuckets - 1)`. Buckets are plain `Vec`s held in
-//!   descending key order, so the next event is always `Vec::pop` off the
-//!   back; pushes append and the bucket is re-sorted lazily when the day
-//!   pointer rotates into it. With the bucket count tracking occupancy and
-//!   the day width tracking the mean event gap, schedule/pop are amortized
-//!   O(1). The packed key means rotation and resize can never reorder ties:
-//!   order is decided by the key alone, never by bucket layout.
+//! The reference for that order is a binary min-heap on `(time, seq)`: the
+//! unit tests below and the `calendar_matches_binary_heap_model` property
+//! test drive the queue and such a heap through the same operations
+//! (schedule, pop, peek, reserve, clear) and require identical pops.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Pack an event key: time in the high 64 bits, sequence in the low 64.
 /// A single integer compare then yields `(time, seq)` lexicographic order.
@@ -31,33 +29,6 @@ fn pack(time: SimTime, seq: u64) -> u128 {
 #[inline]
 fn key_time(key: u128) -> u64 {
     (key >> 64) as u64
-}
-
-/// An event with its packed `(time, seq)` ordering key.
-#[derive(Debug)]
-struct Scheduled<E> {
-    key: u128,
-    payload: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        other.key.cmp(&self.key)
-    }
 }
 
 const MIN_BUCKETS: usize = 8;
@@ -322,21 +293,11 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-#[derive(Debug)]
-enum Backend<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    Calendar(CalendarQueue<E>),
-}
-
-/// Priority queue of simulation events ordered by `(time, insertion order)`.
-///
-/// [`EventQueue::new`] uses the calendar backend; [`EventQueue::heap`] keeps
-/// the original binary heap for reference runs and differential tests. Both
-/// pop byte-identical sequences — ordering is a property of the packed key,
-/// not the backend.
+/// Priority queue of simulation events ordered by `(time, insertion order)`,
+/// backed by the calendar queue above.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    calendar: CalendarQueue<E>,
     next_seq: u64,
     now: SimTime,
 }
@@ -348,37 +309,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Empty calendar-backed queue starting at time zero.
+    /// Empty queue starting at time zero.
     pub fn new() -> Self {
         EventQueue {
-            backend: Backend::Calendar(CalendarQueue::default()),
+            calendar: CalendarQueue::default(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
-    }
-
-    /// Empty binary-heap-backed queue (the reference backend).
-    pub fn heap() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Calendar backend by default, heap when `use_heap` is set — the shape
-    /// `SimConfig::heap_events` selects upstream.
-    pub fn with_heap(use_heap: bool) -> Self {
-        if use_heap {
-            Self::heap()
-        } else {
-            Self::new()
-        }
-    }
-
-    /// Whether this queue runs on the reference heap backend.
-    pub fn is_heap(&self) -> bool {
-        matches!(self.backend, Backend::Heap(_))
     }
 
     /// Current virtual time: the firing time of the most recently popped
@@ -401,18 +338,12 @@ impl<E> EventQueue<E> {
         );
         let key = pack(time, self.next_seq);
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Scheduled { key, payload }),
-            Backend::Calendar(c) => c.schedule(key, payload),
-        }
+        self.calendar.schedule(key, payload);
     }
 
     /// Pop the earliest event, advancing virtual time to its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (key, payload) = match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|s| (s.key, s.payload))?,
-            Backend::Calendar(c) => c.pop()?,
-        };
+        let (key, payload) = self.calendar.pop()?;
         let time = SimTime(key_time(key));
         debug_assert!(time >= self.now);
         self.now = time;
@@ -421,38 +352,25 @@ impl<E> EventQueue<E> {
 
     /// Firing time of the next event, if any, without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.peek().map(|s| SimTime(key_time(s.key))),
-            Backend::Calendar(c) => c.peek_key().map(|k| SimTime(key_time(k))),
-        }
+        self.calendar.peek_key().map(|k| SimTime(key_time(k)))
     }
 
-    /// Pre-size for about `n` additional events (bucket-count for the
-    /// calendar backend, capacity for the heap).
+    /// Pre-size the bucket array for about `n` additional events.
     pub fn reserve(&mut self, n: usize) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.reserve(n),
-            Backend::Calendar(c) => c.reserve(n),
-        }
+        self.calendar.reserve(n);
     }
 
     /// Drop all pending events and rewind to time zero, keeping the backing
     /// allocations so a hot loop can reuse one queue across stages.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.clear(),
-            Backend::Calendar(c) => c.clear(),
-        }
+        self.calendar.clear();
         self.next_seq = 0;
         self.now = SimTime::ZERO;
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
+        self.calendar.len
     }
 
     /// Whether no events are pending.
@@ -464,44 +382,83 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
-    fn both() -> [EventQueue<u32>; 2] {
-        [EventQueue::heap(), EventQueue::new()]
+    /// A calendar queue checked against the reference order: a binary
+    /// min-heap on `(time, tag)`. Tags are handed out in insertion order and
+    /// never reset, so `(time, tag)` order equals the queue's `(time, seq)`
+    /// order even across `clear`. Every pop and peek asserts both agree.
+    #[derive(Default)]
+    struct Checked {
+        cal: EventQueue<u64>,
+        model: BinaryHeap<Reverse<(SimTime, u64)>>,
+        tag: u64,
+    }
+
+    impl Checked {
+        /// Schedule at `time`; returns the event's tag.
+        fn schedule(&mut self, time: SimTime) -> u64 {
+            let tag = self.tag;
+            self.tag += 1;
+            self.cal.schedule(time, tag);
+            self.model.push(Reverse((time, tag)));
+            tag
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let got = self.cal.pop();
+            assert_eq!(got, self.model.pop().map(|Reverse(e)| e));
+            assert_eq!(self.cal.len(), self.model.len());
+            got
+        }
+
+        fn peek_time(&mut self) -> Option<SimTime> {
+            let got = self.cal.peek_time();
+            assert_eq!(got, self.model.peek().map(|Reverse((t, _))| *t));
+            got
+        }
+
+        fn clear(&mut self) {
+            self.cal.clear();
+            self.model.clear();
+        }
+
+        fn drain(&mut self) -> Vec<(SimTime, u64)> {
+            std::iter::from_fn(|| self.pop()).collect()
+        }
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in [EventQueue::heap(), EventQueue::new()] {
-            q.schedule(SimTime(30), "c");
-            q.schedule(SimTime(10), "a");
-            q.schedule(SimTime(20), "b");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec!["a", "b", "c"]);
-        }
+        let mut q = Checked::default();
+        let c = q.schedule(SimTime(30));
+        let a = q.schedule(SimTime(10));
+        let b = q.schedule(SimTime(20));
+        let order: Vec<_> = q.drain().into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, vec![a, b, c]);
     }
 
     #[test]
     fn ties_break_fifo() {
-        for mut q in both() {
-            for i in 0..100 {
-                q.schedule(SimTime(5), i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let mut q = Checked::default();
+        for _ in 0..100 {
+            q.schedule(SimTime(5));
         }
+        let order: Vec<_> = q.drain().into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn now_advances_with_pops() {
-        for mut q in both() {
-            q.schedule(SimTime(7), 0);
-            q.schedule(SimTime(3), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime(3));
-            q.pop();
-            assert_eq!(q.now(), SimTime(7));
-        }
+        let mut q = Checked::default();
+        q.schedule(SimTime(7));
+        q.schedule(SimTime(3));
+        assert_eq!(q.cal.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.cal.now(), SimTime(3));
+        q.pop();
+        assert_eq!(q.cal.now(), SimTime(7));
     }
 
     #[test]
@@ -514,47 +471,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scheduled in the past")]
-    fn scheduling_in_past_panics_heap() {
-        let mut q = EventQueue::heap();
-        q.schedule(SimTime(10), ());
-        q.pop();
-        q.schedule(SimTime(5), ());
-    }
-
-    #[test]
     fn schedule_at_now_is_allowed() {
-        for mut q in both() {
-            q.schedule(SimTime(10), 1);
-            q.pop();
-            q.schedule(SimTime(10), 2); // same instant as `now` is fine
-            assert_eq!(q.pop(), Some((SimTime(10), 2)));
-        }
+        let mut q = Checked::default();
+        q.schedule(SimTime(10));
+        q.pop();
+        let t = q.schedule(SimTime(10)); // same instant as `now` is fine
+        assert_eq!(q.pop(), Some((SimTime(10), t)));
     }
 
     #[test]
     fn peek_does_not_advance() {
-        for mut q in both() {
-            q.schedule(SimTime(4), 0);
-            assert_eq!(q.peek_time(), Some(SimTime(4)));
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q = Checked::default();
+        q.schedule(SimTime(4));
+        assert_eq!(q.peek_time(), Some(SimTime(4)));
+        assert_eq!(q.cal.now(), SimTime::ZERO);
+        assert_eq!(q.cal.len(), 1);
+        assert!(!q.cal.is_empty());
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stays_ordered() {
-        for mut q in both() {
-            q.schedule(SimTime(1), 1u32);
-            q.schedule(SimTime(5), 5);
-            let (t, v) = q.pop().unwrap();
-            assert_eq!((t, v), (SimTime(1), 1));
-            // schedule between pending events
-            q.schedule(SimTime(3), 3);
-            assert_eq!(q.pop().unwrap().1, 3);
-            assert_eq!(q.pop().unwrap().1, 5);
-        }
+        let mut q = Checked::default();
+        q.schedule(SimTime(1));
+        let five = q.schedule(SimTime(5));
+        assert_eq!(q.pop().unwrap().0, SimTime(1));
+        // schedule between pending events
+        let three = q.schedule(SimTime(3));
+        assert_eq!(q.pop().unwrap().1, three);
+        assert_eq!(q.pop().unwrap().1, five);
     }
 
     #[test]
@@ -562,67 +506,51 @@ mod tests {
         // Regression guard for the day-pointer hazard: peeking a far-future
         // event must not let the calendar commit its day pointer past an
         // event scheduled afterwards at an earlier (but still future) time.
-        for mut q in both() {
-            q.schedule(SimTime(10), 1);
-            q.pop();
-            q.schedule(SimTime(1 << 20), 99);
-            assert_eq!(q.peek_time(), Some(SimTime(1 << 20)));
-            q.schedule(SimTime(20), 2);
-            assert_eq!(q.pop(), Some((SimTime(20), 2)));
-            assert_eq!(q.pop(), Some((SimTime(1 << 20), 99)));
-        }
+        let mut q = Checked::default();
+        q.schedule(SimTime(10));
+        q.pop();
+        let far = q.schedule(SimTime(1 << 20));
+        assert_eq!(q.peek_time(), Some(SimTime(1 << 20)));
+        let near = q.schedule(SimTime(20));
+        assert_eq!(q.pop(), Some((SimTime(20), near)));
+        assert_eq!(q.pop(), Some((SimTime(1 << 20), far)));
     }
 
     #[test]
     fn clear_rewinds_time_and_reuses() {
-        for mut q in both() {
-            q.schedule(SimTime(100), 1);
-            q.pop();
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.now(), SimTime::ZERO);
-            // After clear the queue accepts earlier times again and FIFO
-            // sequence numbering restarts.
-            q.schedule(SimTime(2), 7);
-            q.schedule(SimTime(2), 8);
-            assert_eq!(q.pop(), Some((SimTime(2), 7)));
-            assert_eq!(q.pop(), Some((SimTime(2), 8)));
-        }
+        let mut q = Checked::default();
+        q.schedule(SimTime(100));
+        q.pop();
+        q.clear();
+        assert!(q.cal.is_empty());
+        assert_eq!(q.cal.now(), SimTime::ZERO);
+        // After clear the queue accepts earlier times again and FIFO
+        // sequence numbering restarts.
+        let a = q.schedule(SimTime(2));
+        let b = q.schedule(SimTime(2));
+        assert_eq!(q.pop(), Some((SimTime(2), a)));
+        assert_eq!(q.pop(), Some((SimTime(2), b)));
     }
 
     #[test]
     fn resize_boundary_preserves_order() {
         // Cross the grow threshold (len > nbuckets * 2, starting at 8
         // buckets) and later the shrink threshold while draining; the pop
-        // sequence must match the heap exactly, including FIFO ties.
-        let mut heap = EventQueue::heap();
-        let mut cal = EventQueue::new();
+        // sequence must match the heap model exactly, including FIFO ties.
+        let mut q = Checked::default();
         // 600 events: bursts of ties + spread, forcing several rebuilds.
         for i in 0..600u64 {
-            let t = SimTime((i / 3) * 17 % 4096);
-            heap.schedule(t, i);
-            cal.schedule(t, i);
+            q.schedule(SimTime((i / 3) * 17 % 4096));
         }
         // Drain halfway, interleave more schedules (schedule-during-drain),
         // then drain fully; shrink fires as occupancy collapses.
-        for step in 0..300 {
-            assert_eq!(heap.pop(), cal.pop(), "diverged at drain step {step}");
+        for _ in 0..300 {
+            q.pop();
         }
         for i in 0..50u64 {
-            let t = SimTime(heap.now().0 + i * 1000);
-            heap.schedule(t, 10_000 + i);
-            cal.schedule(t, 10_000 + i);
+            q.schedule(SimTime(q.cal.now().0 + i * 1000));
         }
-        let mut n = 0;
-        loop {
-            let (h, c) = (heap.pop(), cal.pop());
-            assert_eq!(h, c, "diverged at final drain step {n}");
-            if h.is_none() {
-                break;
-            }
-            n += 1;
-        }
-        assert_eq!(n, 350);
+        assert_eq!(q.drain().len(), 350);
     }
 
     #[test]

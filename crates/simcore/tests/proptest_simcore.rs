@@ -3,13 +3,19 @@
 
 use proptest::prelude::*;
 use refdist_simcore::{EventQueue, FifoResource, SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One step of an adversarial queue schedule: a flood of `n` events at
-/// `now + dt` (ties when `n > 1` or `dt` repeats), or popping up to `n`.
+/// `now + dt` (ties when `n > 1` or `dt` repeats), popping up to `n`, or the
+/// two calls the engine makes between speculating stages — `clear` and
+/// `reserve(n)`.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Flood { dt: u64, n: usize },
     Pop(usize),
+    Clear,
+    Reserve(usize),
 }
 
 proptest! {
@@ -35,13 +41,16 @@ proptest! {
         prop_assert_eq!(q.now(), SimTime(*times.iter().max().unwrap()));
     }
 
-    /// Calendar and heap backends must pop identical `(time, payload)`
-    /// sequences — and agree on `len`/`now` at every step — under
-    /// adversarial schedules: same-instant floods, far-future outliers, and
-    /// scheduling while the queue is mid-drain. Offsets are always added to
-    /// the current virtual time so no op schedules into the past.
+    /// The calendar queue must pop exactly what a binary min-heap on
+    /// `(time, tag)` pops — and agree on `len`/`now`/`peek_time` at every
+    /// step — under adversarial schedules: same-instant floods, far-future
+    /// outliers, scheduling while the queue is mid-drain, and reuse after
+    /// `clear`/`reserve`. Tags are handed out in insertion order and never
+    /// reset, so `(time, tag)` is the queue's `(time, seq)` order. Offsets
+    /// are added to the current virtual time so no op schedules into the
+    /// past.
     #[test]
-    fn calendar_and_heap_pop_identical_sequences(
+    fn calendar_matches_binary_heap_model(
         ops in prop::collection::vec(
             prop_oneof![
                 // Bursts of same-instant events (FIFO-tie floods).
@@ -52,48 +61,52 @@ proptest! {
                 (1u64 << 24..1u64 << 40).prop_map(|dt| Op::Flood { dt, n: 1 }),
                 // Drain a few events, then keep scheduling.
                 (1usize..30).prop_map(Op::Pop),
+                // Reuse: what a speculating stage does to the engine's queue.
+                Just(Op::Clear),
+                (0usize..300).prop_map(Op::Reserve),
             ],
             1..60,
         )
     ) {
-        let mut heap = EventQueue::heap();
         let mut cal = EventQueue::new();
-        prop_assert!(heap.is_heap());
-        prop_assert!(!cal.is_heap());
+        let mut model: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut now = SimTime::ZERO;
         let mut tag = 0u64;
         for op in ops {
             match op {
                 Op::Flood { dt, n } => {
                     for _ in 0..n {
-                        let t = SimTime(heap.now().0 + dt);
-                        heap.schedule(t, tag);
+                        let t = SimTime(now.0 + dt);
                         cal.schedule(t, tag);
+                        model.push(Reverse((t, tag)));
                         tag += 1;
                     }
                 }
                 Op::Pop(n) => {
                     for _ in 0..n {
-                        let (h, c) = (heap.pop(), cal.pop());
-                        prop_assert_eq!(h, c);
-                        prop_assert_eq!(heap.now(), cal.now());
-                        if h.is_none() {
-                            break;
-                        }
+                        let want = model.pop().map(|Reverse(e)| e);
+                        prop_assert_eq!(cal.pop(), want);
+                        let Some((t, _)) = want else { break };
+                        now = t;
+                        prop_assert_eq!(cal.now(), now);
                     }
                 }
+                Op::Clear => {
+                    cal.clear();
+                    model.clear();
+                    now = SimTime::ZERO;
+                    prop_assert_eq!(cal.now(), now);
+                }
+                Op::Reserve(n) => cal.reserve(n),
             }
-            prop_assert_eq!(heap.len(), cal.len());
-            prop_assert_eq!(heap.peek_time(), cal.peek_time());
+            prop_assert_eq!(cal.len(), model.len());
+            prop_assert_eq!(cal.peek_time(), model.peek().map(|Reverse((t, _))| *t));
         }
         // Full drain must agree to the end.
-        loop {
-            let (h, c) = (heap.pop(), cal.pop());
-            prop_assert_eq!(h, c);
-            if h.is_none() {
-                break;
-            }
+        while let Some(Reverse(want)) = model.pop() {
+            prop_assert_eq!(cal.pop(), Some(want));
         }
-        prop_assert_eq!(heap.now(), cal.now());
+        prop_assert_eq!(cal.pop(), None);
     }
 
     #[test]
