@@ -26,6 +26,14 @@ cargo test -q --workspace
 echo "==> cargo test -q -p refdist-cluster --test proptest_faults --test differential_faults"
 cargo test -q -p refdist-cluster --test proptest_faults --test differential_faults
 
+# Engine oracle suite, named so a divergence is called out in the CI log:
+# randomized apps x configs x every policy drive the engine's three debug
+# oracles (slot index vs linear scans, master residency vs a rescan of the
+# stores, per-node prefetch candidates vs a rescan of the cached RDDs), and
+# every case must replay byte-identically.
+echo "==> cargo test -q -p refdist-cluster --test proptest_engine"
+cargo test -q -p refdist-cluster --test proptest_engine
+
 # Serve-mode suites, likewise named explicitly: the single-submission
 # serve-vs-legacy-engine differential (equivalence by construction) and the
 # sweep determinism suite, whose serve cells prove multi-tenant streams are

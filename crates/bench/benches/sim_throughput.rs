@@ -1,12 +1,6 @@
 //! End-to-end simulator throughput: how fast the discrete-event engine
 //! pushes a full application through, per policy. Keeps the experiment
 //! harness honest — the parameter sweeps run hundreds of these.
-//!
-//! The `state_repr` group runs the same whole simulations on both per-block
-//! state representations — the hash-backed reference path
-//! (`SimConfig::reference_state`, which changes the block state only) and
-//! the dense slot-indexed tables — so the macro win of the slot arena is
-//! measured on unchanged workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use refdist_cluster::{ClusterConfig, SimConfig, Simulation};
@@ -49,46 +43,5 @@ fn bench_simulation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_state_repr(c: &mut Criterion) {
-    let mut group = c.benchmark_group("state_repr");
-    let params = WorkloadParams {
-        partitions: 16,
-        scale: 0.05,
-        iterations: None,
-    };
-    // Eviction-heavy setup: the cache holds a tenth of the cached footprint,
-    // so per-block state transitions dominate.
-    let w = Workload::ConnectedComponents;
-    let spec = w.build(&params);
-    let plan = AppPlan::build(&spec);
-    let tasks: u64 = plan.stages.iter().map(|s| s.num_tasks as u64).sum();
-    let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
-    for (repr, reference) in [("hash", true), ("dense", false)] {
-        let mut cfg = SimConfig::new(ClusterConfig::tiny(4, footprint / 10));
-        cfg.compute_jitter = 0.0;
-        cfg.reference_state = reference;
-        let sim = Simulation::new(&spec, &plan, ProfileMode::Recurring, cfg);
-        group.throughput(Throughput::Elements(tasks));
-        for policy in ["lru", "mrd"] {
-            group.bench_with_input(
-                BenchmarkId::new(policy, repr),
-                &sim,
-                |b, sim| {
-                    b.iter(|| {
-                        if policy == "lru" {
-                            let mut p = PolicyKind::Lru.build();
-                            black_box(sim.run(&mut *p))
-                        } else {
-                            let mut p = MrdPolicy::full();
-                            black_box(sim.run(&mut p))
-                        }
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_simulation, bench_state_repr);
+criterion_group!(benches, bench_simulation);
 criterion_main!(benches);

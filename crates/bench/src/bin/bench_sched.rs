@@ -38,14 +38,10 @@
 //! Each cell also records the slot arena's high-water mark (`peak_slots`),
 //! so the regression guard gates O(active) memory alongside wall time.
 //!
-//! A `sim_throughput` suite times the engine on dense slot-indexed state
-//! against the hash-backed reference state (`SimConfig::reference_state`,
-//! which selects the block state only; both sides share the slot index and
-//! the calendar event queue) on the same wide app under cache pressure,
-//! with speculation exercising the event queue. Reports are asserted
-//! byte-identical before timing. Outside `REFDIST_QUICK`, a
-//! 1024-node mega row pushes ~a million tasks through the dense engine
-//! alone.
+//! A `sim_throughput` suite times the whole engine on a wide app under
+//! cache pressure, with speculation exercising the event queue
+//! (`wide_app`). Outside `REFDIST_QUICK`, a 1024-node mega row pushes ~a
+//! million tasks through it.
 //!
 //! `REFDIST_QUICK=1` shrinks cluster sizes and repetitions for smoke runs
 //! (the output files are still written).
@@ -141,8 +137,7 @@ fn time_sched(spec: &AppSpec, plan: &AppPlan, nodes: u32) -> (f64, RunReport) {
 /// footprint fits), delay scheduling, a straggler, and speculative
 /// execution — so per-task state transitions, slot selection, eviction and
 /// the per-stage completion-event queue are all on the measured path.
-/// `reference` runs the engine on its hash-backed reference block state.
-fn throughput_cfg(spec: &AppSpec, nodes: u32, reference: bool) -> SimConfig {
+fn throughput_cfg(spec: &AppSpec, nodes: u32) -> SimConfig {
     let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
     let mut cfg = SimConfig::new(ClusterConfig::tiny(
         nodes,
@@ -152,7 +147,6 @@ fn throughput_cfg(spec: &AppSpec, nodes: u32, reference: bool) -> SimConfig {
     cfg.delay_scheduling_us = Some(5_000);
     cfg.faults.slow_node(0, 4.0);
     cfg.faults.speculation_quantile = 0.75;
-    cfg.reference_state = reference;
     cfg
 }
 
@@ -161,13 +155,12 @@ fn time_throughput(
     spec: &AppSpec,
     plan: &AppPlan,
     nodes: u32,
-    reference: bool,
     reps: usize,
 ) -> (f64, RunReport) {
     let mut best_ms = f64::INFINITY;
     let mut report = None;
     for _ in 0..reps {
-        let cfg = throughput_cfg(spec, nodes, reference);
+        let cfg = throughput_cfg(spec, nodes);
         let sim = Simulation::new(spec, plan, ProfileMode::Recurring, cfg);
         let mut lru = refdist_policies::PolicyKind::Lru.build();
         let start = Instant::now();
@@ -460,44 +453,24 @@ fn main() {
     }
 
     println!();
-    println!("== sim_throughput: hash reference state vs dense engine (ms) ==");
-    println!(
-        "{:<8} {:>8} {:>12} {:>12} {:>9}",
-        "nodes", "tasks", "reference", "engine", "speedup"
-    );
+    println!("== sim_throughput: whole engine (ms) ==");
+    println!("{:<8} {:>8} {:>12}", "nodes", "tasks", "engine");
     let tp_nodes: &[u32] = if quick() { &[8] } else { &[64, 128] };
     for &nodes in tp_nodes {
         let spec = sched_app(nodes);
         let plan = AppPlan::build(&spec);
         let reps = if quick() { 1 } else { 8 };
-        let (ref_ms, ref_report) = time_throughput(&spec, &plan, nodes, true, reps);
-        let (eng_ms, eng_report) = time_throughput(&spec, &plan, nodes, false, reps);
-        assert_eq!(
-            format!("{ref_report:?}"),
-            format!("{eng_report:?}"),
-            "reference and engine stacks disagree at {nodes} nodes"
-        );
-        println!(
-            "{:<8} {:>8} {:>9.1} ms {:>9.1} ms {:>8.2}x",
-            nodes,
-            eng_report.tasks,
-            ref_ms,
-            eng_ms,
-            ref_ms / eng_ms
-        );
-        // Distinct bench names: the regression guard joins on
-        // (suite, bench, policy, blocks) and must track each stack apart.
-        for (bench, value) in [("wide_app_ref", ref_ms), ("wide_app", eng_ms)] {
-            records.push(Record {
-                suite: "sim_throughput",
-                bench: bench.into(),
-                policy: "LRU".into(),
-                blocks: nodes as usize,
-                protocol: if bench == "wide_app" { "engine" } else { "reference" },
-                metric: "ms_total",
-                value,
-            });
-        }
+        let (eng_ms, eng_report) = time_throughput(&spec, &plan, nodes, reps);
+        println!("{:<8} {:>8} {:>9.1} ms", nodes, eng_report.tasks, eng_ms);
+        records.push(Record {
+            suite: "sim_throughput",
+            bench: "wide_app".into(),
+            policy: "LRU".into(),
+            blocks: nodes as usize,
+            protocol: "engine",
+            metric: "ms_total",
+            value: eng_ms,
+        });
     }
     if !quick() {
         // Mega smoke: ~a million tasks through the engine alone. The point
@@ -506,7 +479,7 @@ fn main() {
         let nodes = 1024;
         let spec = sched_app_jobs(nodes, 60);
         let plan = AppPlan::build(&spec);
-        let (eng_ms, eng_report) = time_throughput(&spec, &plan, nodes, false, 1);
+        let (eng_ms, eng_report) = time_throughput(&spec, &plan, nodes, 1);
         println!(
             "{:<8} {:>8} {:>12} {:>9.1} ms ({:.2} us/task)",
             nodes,

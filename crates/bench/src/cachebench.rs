@@ -207,7 +207,7 @@ impl Churn {
 
     /// [`Churn::new`] with an explicit state mode: `dense` offers the policy
     /// a [`BlockSlots`] arena covering the whole churn universe before any
-    /// other hook, exactly as the runtime does in dense mode. Policies
+    /// other hook, exactly as the runtime always does. Policies
     /// without slot-indexed state ignore it.
     pub fn with_mode(
         build: fn() -> Box<dyn CachePolicy>,

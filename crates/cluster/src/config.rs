@@ -158,14 +158,6 @@ pub struct SimConfig {
     /// earliest slot (paying remote reads). `None` = always run at home,
     /// which is the calibrated default.
     pub delay_scheduling_us: Option<u64>,
-    /// Run the engine on its original hash-backed per-block state instead of
-    /// the dense slot-indexed tables. The hash path is kept as the reference
-    /// implementation of the engine's block state: the differential tests
-    /// run every simulation both ways and require byte-identical reports,
-    /// and the benches use it as the honest "before" baseline. Scheduling
-    /// and the event queue are the same in both modes. Off (dense) by
-    /// default.
-    pub reference_state: bool,
     /// Record every task placement as `(node, slot, start)` in
     /// [`RunReport::placements`](crate::RunReport::placements). Used by the
     /// placement tests; off by default.
@@ -187,7 +179,6 @@ impl SimConfig {
             faults: FaultPlan::default(),
             adaptive_threshold: false,
             delay_scheduling_us: None,
-            reference_state: false,
             collect_placements: false,
         }
     }
@@ -251,7 +242,6 @@ mod tests {
         assert!(s.faults.is_empty());
         assert!(!s.adaptive_threshold);
         assert!(s.delay_scheduling_us.is_none());
-        assert!(!s.reference_state);
         assert!(!s.collect_placements);
         assert_eq!(s.with_seed(7).seed, 7);
     }

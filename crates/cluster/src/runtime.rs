@@ -31,13 +31,19 @@
 //!
 //! The engine's per-block bookkeeping (materialization, in-flight arrival
 //! times, unused prefetches, the per-node "prefetchable" set) lives in dense
-//! vectors and bitsets indexed by [`BlockSlots`] — every cached-RDD block
-//! maps to a `u32` slot, in `BlockId` sort order, so the hot path does no
-//! hashing and the prefetcher reads an incrementally maintained bitset
-//! instead of rescanning every cached RDD × partition each stage. The
-//! original hash-backed representation is preserved behind
-//! [`SimConfig::reference_state`] as the reference implementation; the
-//! differential tests run both and require byte-identical reports.
+//! vectors and bitsets indexed by [`BlockSlots`], which maps every
+//! cached-RDD block to a `u32` slot, so the hot path does no hashing and the
+//! prefetcher reads an incrementally maintained bitset instead of rescanning
+//! every cached RDD × partition each stage. Slots ascend in `BlockId` order
+//! within one application's range, and globally only for a whole-spec
+//! arena: a streaming arena recycles retired ranges.
+//!
+//! Algorithm 1's two candidate sets are both kept incrementally: the purge
+//! phase's memory-resident blocks by the master registry
+//! ([`BlockMaster::memory_resident`]) and the prefetch phase's
+//! materialized-but-not-resident home blocks by the `prefetchable` bitsets.
+//! In debug builds both are checked at every stage against rescans of the
+//! authoritative tables (`residency_matches`, `rescan_prefetchable`).
 //!
 //! ## Scheduler index and shared artifacts
 //!
@@ -68,7 +74,6 @@ use refdist_dag::{
 use refdist_policies::{CachePolicy, LruPolicy};
 use refdist_simcore::{EventQueue, FifoResource, SimDuration, SimTime};
 use refdist_store::{BlockManager, BlockMaster, CacheStats, InsertError, NodeId};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A configured simulation of one application on one cluster.
@@ -162,9 +167,9 @@ impl<'a> Simulation<'a> {
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     slots: Vec<Vec<SimTime>>,
-    pending_d: Vec<Vec<SimTime>>,
-    materialized_d: SlotSet,
-    prefetched_d: Vec<SlotSet>,
+    pending: Vec<Vec<SimTime>>,
+    materialized: SlotSet,
+    prefetched: Vec<SlotSet>,
     prefetchable: Vec<SlotSet>,
     visited_epoch: Vec<u64>,
     purge_buf: Vec<BlockId>,
@@ -287,14 +292,6 @@ impl SpecRegistry {
         self.rdds.len()
     }
 
-    /// Live cached RDDs, ascending by id — the streaming replacement for the
-    /// reference prefetcher's whole-spec scan (retired apps' candidates were
-    /// dead weight there anyway: the tenant mux filters every candidate list
-    /// to the running app).
-    fn cached_rdds(&self) -> impl Iterator<Item = &Rdd> + '_ {
-        self.rdds.iter().flatten().filter(|r| r.is_cached())
-    }
-
     /// Insert `spec`'s RDDs shifted by `offset` into the global id space.
     /// Returns how many entries were spliced in at the *front* (an admission
     /// below the current window — trace arrivals admit in arrival order, not
@@ -364,29 +361,16 @@ pub(crate) struct Engine<'a> {
 
     /// Block → dense slot mapping over the cached RDDs.
     arena: Arc<BlockSlots>,
-    /// Hash-backed reference state (`cfg.reference_state`).
-    reference: bool,
 
-    // --- reference (hash-backed) per-block state ---
-    /// Blocks whose bytes are still in flight: usable only after the time.
-    pending: HashMap<(usize, BlockId), SimTime>,
-    /// Prefetched blocks not yet used (for wasted-prefetch accounting).
-    prefetched_unused: HashSet<(usize, BlockId)>,
-    /// Blocks that have been computed at least once this run.
-    materialized: HashSet<BlockId>,
-    /// Per-task de-duplication of lineage walks (reference mode allocates a
-    /// fresh set per task, matching the original cost profile).
-    visited_ref: HashSet<RddId>,
-
-    // --- dense (slot-indexed) per-block state ---
+    // --- per-block state, indexed by slot ---
     /// Per node, per slot: in-flight arrival time; `SimTime::ZERO` = not
     /// pending (real entries are always strictly later than the insert
     /// time, so the sentinel is unambiguous and `max()` with it is a no-op).
-    pending_d: Vec<Vec<SimTime>>,
+    pending: Vec<Vec<SimTime>>,
     /// Slots computed at least once this run.
-    materialized_d: SlotSet,
-    /// Per node: prefetched slots not yet used.
-    prefetched_d: Vec<SlotSet>,
+    materialized: SlotSet,
+    /// Per node: prefetched slots not yet used (wasted-prefetch accounting).
+    prefetched: Vec<SlotSet>,
     /// Per node: slots that are materialized, homed on this node, and not
     /// resident in its memory — exactly the prefetcher's candidate set,
     /// maintained incrementally at every residency/materialization
@@ -404,8 +388,7 @@ pub(crate) struct Engine<'a> {
     purge_buf: Vec<BlockId>,
     /// Struct-of-arrays task records for the running stage (speculation).
     stage_tasks: TaskTable,
-    /// Prefetch candidate buffer, reused across nodes and stages (dense
-    /// mode; the reference path keeps its per-stage allocation).
+    /// Prefetch candidate buffer, reused across nodes and stages.
     missing_buf: Vec<BlockId>,
     /// Task-completion event queue for the speculation threshold.
     events: EventQueue<u32>,
@@ -502,6 +485,54 @@ fn exp_gap(rng: &mut SmallRng, mean_us: u64) -> u64 {
     let u: f64 = rng.random();
     let gap = -(1.0 - u).ln() * mean_us as f64;
     (gap as u64).max(1)
+}
+
+/// Whether the master's memory registry matches the stores: every
+/// `(block, node)` copy it lists is in that node's store, every block it
+/// lists has a copy, and it lists as many copies as the stores hold — so
+/// the two agree copy for copy, and [`BlockMaster::memory_resident`] is the
+/// deduped union of every node's memory. Its oracle; the stores are
+/// counted rather than walked, so a check costs one walk of the master.
+fn residency_matches(master: &BlockMaster, managers: &[BlockManager]) -> bool {
+    let mut copies = 0;
+    for b in master.memory_resident() {
+        let before = copies;
+        for n in master.memory_locations(b) {
+            if !managers[n.index()].memory.contains(b) {
+                return false;
+            }
+            copies += 1;
+        }
+        if copies == before {
+            return false;
+        }
+    }
+    copies == managers.iter().map(|m| m.memory.len()).sum::<usize>()
+}
+
+/// `node`'s prefetch candidates by rescan: the home partitions of every
+/// cached RDD in `cached` that the current stage does not touch, kept when
+/// materialized and not resident in the node's memory. Sorted. The oracle
+/// for the engine's `prefetchable` bitsets.
+fn rescan_prefetchable<'r>(
+    cached: impl Iterator<Item = &'r Rdd>,
+    nodes: usize,
+    node: usize,
+    current: impl Fn(RddId) -> bool,
+    materialized: impl Fn(BlockId) -> bool,
+    resident: impl Fn(BlockId) -> bool,
+) -> Vec<BlockId> {
+    let mut missing = Vec::new();
+    for r in cached.filter(|r| !current(r.id)) {
+        for p in (0..r.num_partitions).filter(|&p| p as usize % nodes == node) {
+            let b = BlockId::new(r.id, p);
+            if materialized(b) && !resident(b) {
+                missing.push(b);
+            }
+        }
+    }
+    missing.sort_unstable();
+    missing
 }
 
 /// The per-application slice of engine state. The serve driver keeps one per
@@ -602,8 +633,7 @@ impl<'a> Engine<'a> {
         mut s: EngineScratch,
     ) -> Self {
         let n = cfg.cluster.nodes as usize;
-        let reference = cfg.reference_state;
-        let nslots = if reference { 0 } else { arena.len() };
+        let nslots = arena.len();
         // Shape the recycled scratch buffers into exactly the state fresh
         // allocations would have — run_with_scratch feeds a previous run's
         // buffers back in, possibly from a different cluster/workload size.
@@ -613,14 +643,12 @@ impl<'a> Engine<'a> {
             cfg.cluster.cores_per_node as usize,
             SimTime::ZERO,
         );
-        reset_rows(&mut s.pending_d, n, nslots, SimTime::ZERO);
-        s.materialized_d.reset(nslots);
-        reset_sets(&mut s.prefetched_d, n, nslots);
+        reset_rows(&mut s.pending, n, nslots, SimTime::ZERO);
+        s.materialized.reset(nslots);
+        reset_sets(&mut s.prefetched, n, nslots);
         reset_sets(&mut s.prefetchable, n, nslots);
         s.visited_epoch.clear();
-        if !reference {
-            s.visited_epoch.resize(nrdds, 0);
-        }
+        s.visited_epoch.resize(nrdds, 0);
         s.purge_buf.clear();
         s.stage_tasks.clear();
         s.missing_buf.clear();
@@ -645,19 +673,14 @@ impl<'a> Engine<'a> {
             nodes: n,
             managers: (0..n)
                 .map(|i| {
-                    let node = NodeId(i as u32);
-                    if reference {
-                        BlockManager::new(node, cfg.cluster.cache_bytes)
-                    } else {
-                        BlockManager::with_slots(node, cfg.cluster.cache_bytes, Arc::clone(&arena))
-                    }
+                    BlockManager::with_slots(
+                        NodeId(i as u32),
+                        cfg.cluster.cache_bytes,
+                        Arc::clone(&arena),
+                    )
                 })
                 .collect(),
-            master: if reference {
-                BlockMaster::new()
-            } else {
-                BlockMaster::with_slots(Arc::clone(&arena))
-            },
+            master: BlockMaster::with_slots(Arc::clone(&arena)),
             disk: (0..n)
                 .map(|_| FifoResource::new(cfg.cluster.disk_bw))
                 .collect(),
@@ -668,14 +691,9 @@ impl<'a> Engine<'a> {
             sched,
             sched_stats: SchedStats::default(),
             placements: Vec::new(),
-            reference,
-            pending: HashMap::new(),
-            prefetched_unused: HashSet::new(),
-            materialized: HashSet::new(),
-            visited_ref: HashSet::new(),
-            pending_d: s.pending_d,
-            materialized_d: s.materialized_d,
-            prefetched_d: s.prefetched_d,
+            pending: s.pending,
+            materialized: s.materialized,
+            prefetched: s.prefetched,
             prefetchable: s.prefetchable,
             visited_epoch: s.visited_epoch,
             vis_base: 0,
@@ -747,8 +765,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Admit one application into the streaming engine: its RDDs (shifted by
-    /// `offset` into the global id space) become resolvable, and — in dense
-    /// mode — every slot-indexed table grows to `snap`, the arena snapshot
+    /// `offset` into the global id space) become resolvable, and every
+    /// slot-indexed table grows to `snap`, the arena snapshot
     /// taken after the app's slot range was allocated. Tables grow to the
     /// arena's *capacity*, which tracks peak-active slots, not the stream
     /// length: retired ranges are recycled in place.
@@ -759,9 +777,6 @@ impl<'a> Engine<'a> {
         let front = reg.admit(spec, offset);
         let len = reg.len();
         self.vis_base = reg.rdd_base;
-        if self.reference {
-            return;
-        }
         // Keep the epoch window index-aligned with the registry window.
         if front > 0 {
             self.visited_epoch
@@ -771,12 +786,12 @@ impl<'a> Engine<'a> {
             self.visited_epoch.resize(len, 0);
         }
         let nslots = snap.len();
-        for row in &mut self.pending_d {
+        for row in &mut self.pending {
             row.resize(nslots, SimTime::ZERO);
         }
-        self.materialized_d.grow(nslots);
+        self.materialized.grow(nslots);
         for node in 0..self.nodes {
-            self.prefetched_d[node].grow(nslots);
+            self.prefetched[node].grow(nslots);
             self.prefetchable[node].grow(nslots);
             self.managers[node].adopt(snap);
         }
@@ -786,7 +801,7 @@ impl<'a> Engine<'a> {
 
     /// Retire one application from the streaming engine once none of its
     /// blocks are memory-resident: purge its surviving disk spills (with
-    /// ghost accounting — see `ghost_disk`), zero its dense per-block state
+    /// ghost accounting — see `ghost_disk`), zero its per-block state
     /// in the to-be-recycled slot range, and drop its RDDs from the registry
     /// (advancing the window when it was the oldest live app). No cache
     /// statistics are touched: the upfront path never removes these blocks,
@@ -794,14 +809,7 @@ impl<'a> Engine<'a> {
     pub(crate) fn retire_app(&mut self, rdds: std::ops::Range<u32>, slot_base: u32, slot_len: u32) {
         for ri in rdds.clone() {
             let id = RddId(ri);
-            let (cached, parts) = {
-                let r = self.rdd(id);
-                (r.is_cached(), r.num_partitions)
-            };
-            if !cached {
-                continue;
-            }
-            for p in 0..parts {
+            for p in 0..self.cached_parts(id) {
                 let b = BlockId::new(id, p);
                 for node in 0..self.nodes {
                     if self.managers[node].disk.remove(b).is_some() {
@@ -809,31 +817,20 @@ impl<'a> Engine<'a> {
                         self.ghost_disk[node] += 1;
                     }
                 }
-                if self.reference {
-                    self.materialized.remove(&b);
-                    for node in 0..self.nodes {
-                        self.pending.remove(&(node, b));
-                        self.prefetched_unused.remove(&(node, b));
-                    }
-                }
             }
         }
-        if !self.reference && slot_len > 0 {
-            self.materialized_d.clear_range(slot_base, slot_len);
-            let range = slot_base as usize..(slot_base + slot_len) as usize;
-            for node in 0..self.nodes {
-                self.prefetched_d[node].clear_range(slot_base, slot_len);
-                self.prefetchable[node].clear_range(slot_base, slot_len);
-                self.pending_d[node][range.clone()].fill(SimTime::ZERO);
-            }
+        self.materialized.clear_range(slot_base, slot_len);
+        let range = slot_base as usize..(slot_base + slot_len) as usize;
+        for node in 0..self.nodes {
+            self.prefetched[node].clear_range(slot_base, slot_len);
+            self.prefetchable[node].clear_range(slot_base, slot_len);
+            self.pending[node][range.clone()].fill(SimTime::ZERO);
         }
         let SpecSource::Registry(reg) = &mut self.source else {
             panic!("retire_app is a streaming-engine operation");
         };
         let drained = reg.retire(rdds);
-        if !self.reference && drained > 0 {
-            self.visited_epoch.drain(..drained);
-        }
+        self.visited_epoch.drain(..drained);
         self.vis_base = reg.rdd_base;
     }
 
@@ -846,14 +843,7 @@ impl<'a> Engine<'a> {
     pub(crate) fn purge_app(&mut self, rdds: std::ops::Range<u32>, policy: &mut dyn CachePolicy) {
         for ri in rdds {
             let id = RddId(ri);
-            let (cached, parts) = {
-                let r = self.rdd(id);
-                (r.is_cached(), r.num_partitions)
-            };
-            if !cached {
-                continue;
-            }
-            for p in 0..parts {
+            for p in 0..self.cached_parts(id) {
                 let b = BlockId::new(id, p);
                 for node in 0..self.nodes {
                     if self.managers[node].memory.remove(b).is_some() {
@@ -881,22 +871,9 @@ impl<'a> Engine<'a> {
     /// Whether any block of the RDDs in `rdds` is memory-resident anywhere.
     /// A completed app with none left is drained and can retire.
     pub(crate) fn any_resident(&self, rdds: std::ops::Range<u32>) -> bool {
-        for ri in rdds {
-            let id = RddId(ri);
-            let (cached, parts) = {
-                let r = self.rdd(id);
-                (r.is_cached(), r.num_partitions)
-            };
-            if !cached {
-                continue;
-            }
-            for p in 0..parts {
-                if self.master.in_memory_anywhere(BlockId::new(id, p)) {
-                    return true;
-                }
-            }
-        }
-        false
+        rdds.map(RddId).any(|id| {
+            (0..self.cached_parts(id)).any(|p| self.master.in_memory_anywhere(BlockId::new(id, p)))
+        })
     }
 
     /// One stochastic fault draw. Draws from the fault stream only when the
@@ -909,9 +886,9 @@ impl<'a> Engine<'a> {
     fn into_scratch(self) -> EngineScratch {
         EngineScratch {
             slots: self.slots,
-            pending_d: self.pending_d,
-            materialized_d: self.materialized_d,
-            prefetched_d: self.prefetched_d,
+            pending: self.pending,
+            materialized: self.materialized,
+            prefetched: self.prefetched,
             prefetchable: self.prefetchable,
             visited_epoch: self.visited_epoch,
             purge_buf: self.purge_buf,
@@ -937,6 +914,17 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Partitions of `id` that can hold cached blocks: all of a cached
+    /// RDD's, none of an uncached one's.
+    fn cached_parts(&self, id: RddId) -> u32 {
+        let r = self.rdd(id);
+        if r.is_cached() {
+            r.num_partitions
+        } else {
+            0
+        }
+    }
+
     fn block_size(&self, b: BlockId) -> u64 {
         self.rdd(b.rdd).block_size
     }
@@ -946,132 +934,86 @@ impl<'a> Engine<'a> {
         bytes * self.cfg.deser_us_per_mb / (1 << 20)
     }
 
-    /// Dense slot of a cached-RDD block (dense mode only; every block the
-    /// engine tracks belongs to a cached RDD, so the arena covers it).
+    /// Slot of a cached-RDD block (every block the engine tracks belongs to
+    /// a cached RDD, so the arena covers it).
     fn slot(&self, b: BlockId) -> u32 {
         self.arena
             .slot(b)
             .expect("engine-tracked blocks belong to cached RDDs")
     }
 
-    /// Start a task's lineage walk: reset the visited set.
+    /// Start a task's lineage walk: a fresh epoch empties the visited set.
     fn begin_task(&mut self) {
-        if self.reference {
-            self.visited_ref = HashSet::new();
-        } else {
-            self.epoch += 1;
-        }
+        self.epoch += 1;
     }
 
     /// Mark `rdd` visited in the current task; true on first visit.
     fn visit(&mut self, rdd: RddId) -> bool {
-        if self.reference {
-            self.visited_ref.insert(rdd)
-        } else {
-            let e = &mut self.visited_epoch[rdd.index() - self.vis_base];
-            if *e == self.epoch {
-                false
-            } else {
-                *e = self.epoch;
-                true
-            }
-        }
+        let e = &mut self.visited_epoch[rdd.index() - self.vis_base];
+        let first = *e != self.epoch;
+        *e = self.epoch;
+        first
     }
 
     /// When `b`'s bytes are still in flight to `node`: the arrival time,
     /// else `SimTime::ZERO` (callers `max()` it into their start time, and
     /// `max` with `ZERO` is the identity).
     fn pending_avail(&self, node: usize, b: BlockId) -> SimTime {
-        if self.reference {
-            self.pending
-                .get(&(node, b))
-                .copied()
-                .unwrap_or(SimTime::ZERO)
-        } else {
-            self.pending_d[node][self.slot(b) as usize]
-        }
+        self.pending[node][self.slot(b) as usize]
     }
 
     fn set_pending(&mut self, node: usize, b: BlockId, at: SimTime) {
-        if self.reference {
-            self.pending.insert((node, b), at);
-        } else {
-            let s = self.slot(b) as usize;
-            self.pending_d[node][s] = at;
-        }
+        let s = self.slot(b) as usize;
+        self.pending[node][s] = at;
     }
 
     fn clear_pending(&mut self, node: usize, b: BlockId) {
-        if self.reference {
-            self.pending.remove(&(node, b));
-        } else {
-            let s = self.slot(b) as usize;
-            self.pending_d[node][s] = SimTime::ZERO;
-        }
+        self.set_pending(node, b, SimTime::ZERO);
     }
 
     fn is_materialized(&self, b: BlockId) -> bool {
-        if self.reference {
-            self.materialized.contains(&b)
-        } else {
-            self.materialized_d.contains(self.slot(b))
-        }
+        self.materialized.contains(self.slot(b))
     }
 
     fn mark_materialized(&mut self, b: BlockId) {
-        if self.reference {
-            self.materialized.insert(b);
-        } else {
-            let s = self.slot(b);
-            self.materialized_d.insert(s);
-            self.sync_prefetchable(b);
-        }
-    }
-
-    fn mark_prefetched(&mut self, node: usize, b: BlockId) {
-        if self.reference {
-            self.prefetched_unused.insert((node, b));
-        } else {
-            let s = self.slot(b);
-            self.prefetched_d[node].insert(s);
-        }
+        let s = self.slot(b);
+        self.materialized.insert(s);
+        self.sync_prefetchable(b);
     }
 
     /// Clear `b`'s unused-prefetch mark on `node`; true if it was set.
     fn take_prefetched(&mut self, node: usize, b: BlockId) -> bool {
-        if self.reference {
-            self.prefetched_unused.remove(&(node, b))
-        } else {
-            let s = self.slot(b);
-            self.prefetched_d[node].remove(s)
-        }
+        let s = self.slot(b);
+        self.prefetched[node].remove(s)
     }
 
     /// Recompute `b`'s membership in its home node's prefetchable set
     /// (materialized and not resident in the home memory). Idempotent;
     /// called at every transition that can change either input.
     fn sync_prefetchable(&mut self, b: BlockId) {
-        if self.reference {
-            return;
-        }
         let home = self.home(b.partition);
         let s = self.slot(b);
-        let on = self.materialized_d.contains(s) && !self.managers[home].memory.contains(b);
-        if on {
+        if self.materialized.contains(s) && !self.managers[home].memory.contains(b) {
             self.prefetchable[home].insert(s);
         } else {
             self.prefetchable[home].remove(s);
         }
     }
 
-    fn run(&mut self, policy: &mut dyn CachePolicy) -> RunReport {
-        if !self.reference {
-            // Offer the arena before any other hook so policies can switch
-            // their per-block state to slot-indexed tables. The reference
-            // path never attaches: hash-backed policy state is part of the
-            // reference implementation.
-            policy.attach_slots(&self.arena);
+    /// Live cached RDDs, ascending by id: the whole spec's, or the
+    /// streaming registry's window of live apps (retired apps' slots are
+    /// cleared and recycled, so they are never candidates).
+    fn cached_rdds(&self) -> Box<dyn Iterator<Item = &Rdd> + '_> {
+        match &self.source {
+            SpecSource::Whole(s) => Box::new(s.cached_rdds()),
+            SpecSource::Registry(r) => Box::new(r.rdds.iter().flatten().filter(|r| r.is_cached())),
         }
+    }
+
+    fn run(&mut self, policy: &mut dyn CachePolicy) -> RunReport {
+        // Offer the arena before any other hook so policies can switch
+        // their per-block state to slot-indexed tables.
+        policy.attach_slots(&self.arena);
         let plan = self.plan.expect("single-app runs carry a plan");
         let profiler = self.profiler.expect("single-app runs carry a profiler");
         let mut submitted: Option<JobId> = None;
@@ -1386,32 +1328,22 @@ impl<'a> Engine<'a> {
 
     /// Cluster-wide proactive purge (Algorithm 1, eviction phase part 1).
     fn run_purge(&mut self, policy: &mut dyn CachePolicy) {
+        debug_assert!(
+            residency_matches(&self.master, &self.managers),
+            "master residency diverged from the stores"
+        );
         if !policy.wants_purge() {
             // Purge-free policies (LRU, FIFO, Random, MemTune): their
             // `purge_candidates` is an empty no-op, so skip the cluster-wide
             // residency collection entirely.
             return;
         }
+        // The master registry mirrors every node's memory residency, one
+        // entry per block, so it already is the deduped candidate list — no
+        // per-stage collect over all nodes. It is in slot order: ascending
+        // `BlockId` within each application's range.
         self.purge_buf.clear();
-        if self.reference {
-            // Reference path: collect every node's residents and
-            // canonicalize (the original per-stage cost profile).
-            let buf = &mut self.purge_buf;
-            buf.extend(
-                self.managers
-                    .iter()
-                    .flat_map(|m| m.memory.iter().map(|(b, _)| b)),
-            );
-            buf.sort_unstable();
-            buf.dedup();
-        } else {
-            // Dense path: the master registry mirrors every node's memory
-            // residency and its dense table iterates ascending by `BlockId`,
-            // so it already *is* the sorted, deduped candidate list — no
-            // per-stage collect + sort over all nodes.
-            let master = &self.master;
-            self.purge_buf.extend(master.memory_resident());
-        }
+        self.purge_buf.extend(self.master.memory_resident());
         if self.purge_buf.is_empty() {
             // Still let the policy refresh its purge bookkeeping.
             let _ = policy.purge_candidates(&[]);
@@ -1635,8 +1567,8 @@ impl<'a> Engine<'a> {
         self.events.clear();
         let mut stage_end = SimTime::ZERO;
         // Stragglers are visited in task (partition) order — not completion
-        // order — so the speculative copies' RNG draws replay identically
-        // to the reference implementation.
+        // order — so the speculative copies' RNG draws follow a fixed
+        // order, whatever the ties among completion times.
         for i in 0..n {
             let (end, p) = (tasks.finish[i], i as u32);
             let (onode, oslot, ostart) = (
@@ -1876,7 +1808,8 @@ impl<'a> Engine<'a> {
                         self.clear_pending(node, b);
                     }
                     if prefetched {
-                        self.mark_prefetched(node, b);
+                        let s = self.slot(b);
+                        self.prefetched[node].insert(s);
                     }
                     self.sync_prefetchable(b);
                     policy.on_insert(NodeId(node as u32), b);
@@ -1937,25 +1870,16 @@ impl<'a> Engine<'a> {
     /// demand I/O.
     fn run_prefetch(&mut self, stage: &Stage, visible: &AppProfile, policy: &mut dyn CachePolicy) {
         // RDDs the current stage itself touches are being handled by its
-        // tasks; prefetch targets strictly future references. The reference
-        // path keeps the original per-stage `HashSet`; dense mode stamps the
-        // stage's RDDs into the epoch table instead (a fresh epoch, same
+        // tasks; prefetch targets strictly future references. The stage's
+        // RDDs are stamped into the epoch table under a fresh epoch (same
         // mechanism as the per-task lineage walks — no allocation).
-        let current: HashSet<RddId> = if self.reference {
-            visible
-                .per_stage
-                .get(stage.id.index())
-                .map(|t| t.reads.iter().chain(&t.creates).copied().collect())
-                .unwrap_or_default()
-        } else {
-            self.epoch += 1;
-            if let Some(t) = visible.per_stage.get(stage.id.index()) {
-                for &r in t.reads.iter().chain(&t.creates) {
-                    self.visited_epoch[r.index() - self.vis_base] = self.epoch;
-                }
+        self.epoch += 1;
+        if let Some(t) = visible.per_stage.get(stage.id.index()) {
+            for &r in t.reads.iter().chain(&t.creates) {
+                self.visited_epoch[r.index() - self.vis_base] = self.epoch;
             }
-            HashSet::new()
-        };
+        }
+        let (epoch, vis_base) = (self.epoch, self.vis_base);
 
         for node in 0..self.nodes {
             if self.down[node] {
@@ -1964,64 +1888,32 @@ impl<'a> Engine<'a> {
             if self.cfg.adaptive_threshold {
                 self.adapt_threshold(node);
             }
-            // Reference mode allocates a fresh candidate list per node (the
-            // original cost profile); dense mode reuses the scratch buffer.
-            let mut missing = if self.reference {
-                Vec::new()
-            } else {
-                let mut m = std::mem::take(&mut self.missing_buf);
-                m.clear();
-                m
-            };
-            if self.reference {
-                // Reference path: rescan every cached RDD × partition (the
-                // original candidate collection, kept for honest
-                // baselining). The streaming registry scans live apps only;
-                // the tenant mux restricts candidates to the running app
-                // either way, so retired apps' entries were always filtered.
-                let (whole, registry) = match &self.source {
-                    SpecSource::Whole(s) => (Some(s.cached_rdds()), None),
-                    SpecSource::Registry(r) => (None, Some(r.cached_rdds())),
-                };
-                for r in whole
-                    .into_iter()
-                    .flatten()
-                    .chain(registry.into_iter().flatten())
-                {
-                    if current.contains(&r.id) {
-                        continue;
-                    }
-                    for p in 0..r.num_partitions {
-                        if self.home(p) != node {
-                            continue;
-                        }
-                        let b = BlockId::new(r.id, p);
-                        if self.materialized.contains(&b)
-                            && !self.managers[node].memory.contains(b)
-                        {
-                            missing.push(b);
-                        }
-                    }
-                }
-                missing.sort_unstable();
-            } else {
-                // Dense path: the maintained per-node bitset already holds
-                // exactly the materialized-but-not-resident home blocks;
-                // ascending slots are ascending `BlockId`s, so the order
-                // matches the reference path's sorted scan.
-                let epoch = self.epoch;
-                let vis_base = self.vis_base;
-                missing.extend(
-                    self.prefetchable[node]
-                        .ones()
-                        .map(|s| self.arena.block(s))
-                        .filter(|b| self.visited_epoch[b.rdd.index() - vis_base] != epoch),
+            // The maintained bitset holds exactly the materialized but not
+            // resident home blocks, in slot order (ascending `BlockId`
+            // within each application's range).
+            let mut missing = std::mem::take(&mut self.missing_buf);
+            missing.clear();
+            missing.extend(
+                self.prefetchable[node]
+                    .ones()
+                    .map(|s| self.arena.block(s))
+                    .filter(|b| self.visited_epoch[b.rdd.index() - vis_base] != epoch),
+            );
+            if cfg!(debug_assertions) {
+                let mut kept = missing.clone();
+                kept.sort_unstable();
+                let rescan = rescan_prefetchable(
+                    self.cached_rdds(),
+                    self.nodes,
+                    node,
+                    |r| self.visited_epoch[r.index() - vis_base] == epoch,
+                    |b| self.is_materialized(b),
+                    |b| self.managers[node].memory.contains(b),
                 );
+                assert_eq!(kept, rescan, "prefetchable set of node {node} diverged");
             }
             let mut order = policy.prefetch_order(NodeId(node as u32), &missing);
-            if !self.reference {
-                self.missing_buf = missing;
-            }
+            self.missing_buf = missing;
             order.truncate(self.cfg.max_prefetch_per_node);
             for b in order {
                 let size = self.block_size(b);

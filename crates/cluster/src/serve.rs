@@ -404,18 +404,11 @@ impl TenantMux {
         }
     }
 
-    /// Admit submission `app`: install its policy and (when dense state is
-    /// on) attach the current slot-arena snapshot.
-    pub fn admit(
-        &mut self,
-        app: usize,
-        mut policy: Box<dyn CachePolicy>,
-        slots: Option<&Arc<BlockSlots>>,
-    ) {
+    /// Admit submission `app`: install its policy and attach the current
+    /// slot-arena snapshot.
+    pub fn admit(&mut self, app: usize, mut policy: Box<dyn CachePolicy>, slots: &Arc<BlockSlots>) {
         debug_assert!(self.inner[app].is_none(), "each submission admits once");
-        if let Some(s) = slots {
-            policy.attach_slots(s);
-        }
+        policy.attach_slots(slots);
         self.inner[app] = Some(policy);
         if let Err(pos) = self.active.binary_search(&app) {
             self.active.insert(pos, app);
@@ -484,14 +477,22 @@ impl TenantMux {
         self.tmap().app_of(block.rdd)
     }
 
-    /// Retain only the blocks owned by the current submission.
+    /// Retain only the blocks owned by the current submission. Engine
+    /// candidate lists are in slot order, which ascends by `BlockId` within
+    /// one submission's range (not across ranges: a streaming arena recycles
+    /// them), so the result is strictly ascending.
     fn restrict(&self, blocks: &[BlockId]) -> Vec<BlockId> {
         let r = self.tmap().rdd_range(self.current);
-        blocks
+        let own: Vec<BlockId> = blocks
             .iter()
             .copied()
             .filter(|b| r.contains(&b.rdd.0))
-            .collect()
+            .collect();
+        debug_assert!(
+            own.windows(2).all(|w| w[0] < w[1]),
+            "one submission's candidates ascend by BlockId"
+        );
+        own
     }
 }
 
@@ -893,9 +894,7 @@ impl<'a> ServeSim<'a> {
             engine.enable_store_tenancy(&self.map, q);
         }
         let mut mux = TenantMux::new(policies, Arc::clone(&self.map));
-        if !cfg.reference_state {
-            mux.attach_slots(&art.arena);
-        }
+        mux.attach_slots(&art.arena);
 
         let mut states: Vec<AppState> = (0..n)
             .map(|i| AppState::fresh(app_seed(cfg.seed, i), SimTime(arrivals[i])))
@@ -1127,7 +1126,7 @@ impl<'a> ServeSim<'a> {
                 let snap = Arc::new(arena.snapshot());
                 engine.admit_app(spec, off, &snap);
                 let policy = factory(a);
-                mux.admit(a, policy, (!cfg.reference_state).then_some(&snap));
+                mux.admit(a, policy, &snap);
                 visible[a] = Some(profiler.visible_at_job_shared(JobId(0)));
                 plans[a] = Some(plan);
                 profilers[a] = Some(profiler);

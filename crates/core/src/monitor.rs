@@ -10,9 +10,9 @@
 //! ([`CacheMonitor::attach_slots`]), the recency table becomes a dense
 //! per-slot vector and per-RDD reference distances are cached in a flat
 //! vector rebuilt on each table sync — the per-touch hot path then does no
-//! hashing and no tree walks. Behavior is identical to the hash-backed
-//! reference path (enforced by the differential tests in
-//! `refdist-cluster`).
+//! hashing and no tree walks. The engine always attaches; the unattached
+//! monitor keeps a hash-backed recency table, and `differential_mrd`
+//! requires the same victims from both against a naive scan.
 
 use crate::distance::{DistanceMetric, RefDistance};
 use crate::table::MrdTable;
@@ -51,7 +51,7 @@ pub struct CacheMonitor {
     syncs: u64,
     clock: u64,
     last_touch: SlotMap<u64>,
-    /// Attached slot arena (dense mode) and the per-RDD distance cache
+    /// Attached slot arena and the per-RDD distance cache
     /// rebuilt from the replica on every sync; empty in hash mode.
     slots: Option<Arc<BlockSlots>>,
     dist_by_rdd: Vec<RefDistance>,

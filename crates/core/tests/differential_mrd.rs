@@ -3,14 +3,17 @@
 //! `pick_victim_with` scan byte-for-byte — across all three operating
 //! modes, both tie-break rules, and both distance metrics, under randomized
 //! traces that interleave table advances (stage/job events) with inserts,
-//! accesses, removals, and evictions on two nodes.
+//! accesses, removals, and evictions on two nodes. The indexed side runs
+//! both with its hash-backed recency table and attached to a slot arena
+//! (`attach_slots`, as the engine always does).
 
 use proptest::prelude::*;
 use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy, TieBreak};
-use refdist_dag::{AppProfile, BlockId, JobId, RddId, RddRefs, StageId, StageTouches};
+use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId, StageTouches};
 use refdist_policies::CachePolicy;
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const NODES: u32 = 2;
 
@@ -117,10 +120,15 @@ fn batched_select(
     victims
 }
 
-fn assert_equivalent(cfg: MrdConfig, events: &[Ev]) {
+fn assert_equivalent(cfg: MrdConfig, events: &[Ev], attached: bool) {
     let prof = profile();
     let mut reference = MrdPolicy::new(cfg);
     let mut indexed = MrdPolicy::new(cfg);
+    if attached {
+        // Every block `blk` can name: 8 RDDs × 4 partitions.
+        let arena = BlockSlots::from_counts((0..8).map(|r| (RddId(r), 4)));
+        indexed.attach_slots(&Arc::new(arena));
+    }
     let mut ra: Vec<BTreeMap<BlockId, u64>> = (0..NODES).map(|_| BTreeMap::new()).collect();
     let mut rb = ra.clone();
     reference.on_job_submit(JobId(0), &prof);
@@ -180,12 +188,13 @@ proptest! {
     #[test]
     fn indexed_mrd_matches_naive_scan(
         events in prop::collection::vec(ev_strategy(), 0..100),
+        attached in any::<bool>(),
     ) {
         for mode in [MrdMode::Full, MrdMode::EvictOnly, MrdMode::PrefetchOnly] {
             for tie in [TieBreak::Mru, TieBreak::Lru] {
                 for metric in [DistanceMetric::Stage, DistanceMetric::Job] {
                     let cfg = MrdConfig { mode, metric, tie_break: tie, ..Default::default() };
-                    assert_equivalent(cfg, &events);
+                    assert_equivalent(cfg, &events, attached);
                 }
             }
         }

@@ -9,11 +9,12 @@
 //! bitsets instead of `HashMap<BlockId, _>` — no hashing on the per-access
 //! path.
 //!
-//! Slot order equals `BlockId` order (ascending rdd id, then partition),
-//! because bases are assigned in increasing rdd order. Iterating slots
-//! ascending therefore visits blocks in exactly the order the hash-backed
-//! code obtained by sorting, which is what keeps the dense path
-//! byte-identical to the reference implementation.
+//! Within one application's range, slot order equals `BlockId` order
+//! (ascending rdd id, then partition), because bases are assigned in
+//! increasing rdd order. Across ranges it holds only for a whole-spec
+//! arena ([`BlockSlots::new`]): a streaming [`SlotArena`] recycles retired
+//! ranges, so a later application's slots can sit below an earlier one's.
+//! Callers that need a global `BlockId` order must sort.
 
 use crate::app::AppSpec;
 use crate::ids::{BlockId, RddId};
@@ -357,14 +358,14 @@ impl SlotArena {
     }
 }
 
-/// A map keyed by `BlockId`, backed either by a `HashMap` (the reference
-/// implementation, kept for the hash-vs-dense differential tests) or by a
-/// dense per-slot vector over a [`BlockSlots`] arena.
+/// A map keyed by `BlockId`, backed either by a `HashMap` (for stores and
+/// monitors built without an arena, and the reference the store tests
+/// compare the dense backing against) or by a dense per-slot vector over a
+/// [`BlockSlots`] arena.
 ///
 /// Behavior is identical across backings; only iteration order differs
 /// (dense iterates ascending by slot, hash arbitrarily), so callers that
-/// need a canonical order must sort — exactly as they already did for the
-/// `HashMap`.
+/// need a canonical order must sort.
 #[derive(Debug, Clone)]
 pub struct SlotMap<V> {
     repr: SlotMapRepr<V>,
@@ -381,7 +382,7 @@ enum SlotMapRepr<V> {
 }
 
 impl<V> SlotMap<V> {
-    /// Hash-backed map (the reference path).
+    /// Hash-backed map (stores and monitors built without an arena).
     pub fn hashed() -> Self {
         SlotMap {
             repr: SlotMapRepr::Hash(HashMap::new()),
@@ -519,8 +520,8 @@ impl<V> SlotMap<V> {
 }
 
 /// A plain dense bitset over the slots of a [`BlockSlots`] arena. Used for
-/// per-run block flags (materialized, prefetched-unused, prefetchable) on
-/// the dense path; the hash-backed reference path keeps its `HashSet`s.
+/// the engine's per-run block flags (materialized, prefetched-unused,
+/// prefetchable).
 #[derive(Debug, Clone, Default)]
 pub struct SlotSet {
     words: Vec<u64>,

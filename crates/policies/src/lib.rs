@@ -58,8 +58,8 @@ pub trait CachePolicy: Send {
     /// run, offered once before any other hook. Policies that keep
     /// per-block state may switch it to slot-indexed tables; the default
     /// ignores the arena and keeps hash-backed state. Must not change
-    /// observable behavior — only representation (the hash-vs-dense
-    /// differential tests drive both paths).
+    /// observable behavior — only representation (`differential_mrd`
+    /// drives MRD both attached and unattached).
     fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
         let _ = slots;
     }

@@ -6,7 +6,9 @@
 //! (lowest node id wins a remote-source tie, exactly as the previous
 //! `BTreeSet` representation ordered them); the per-block tables are
 //! [`SlotMap`]s — dense vectors when built over a [`BlockSlots`] arena
-//! ([`BlockMaster::with_slots`]), hash maps otherwise.
+//! ([`BlockMaster::with_slots`], what the engine runs on), hash maps
+//! otherwise. The engine checks [`BlockMaster::memory_resident`] against a
+//! rescan of every node's store at each stage in debug builds.
 
 use crate::NodeId;
 use refdist_dag::{BlockId, BlockSlots, SlotMap};
@@ -131,10 +133,10 @@ impl BlockMaster {
     }
 
     /// Every block resident in at least one node's memory, one entry per
-    /// block. Dense registries iterate ascending by `BlockId` (slot order);
-    /// hash-backed ones in arbitrary order — callers needing canonical order
-    /// there must sort, exactly like the per-manager collection they
-    /// replace.
+    /// block. Dense registries iterate in slot order — ascending `BlockId`
+    /// within one application's slot range, and globally only over a
+    /// whole-spec arena (a streaming arena recycles ranges); hash-backed
+    /// ones in arbitrary order. Callers needing a global order must sort.
     pub fn memory_resident(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.memory.iter().map(|(b, _)| b)
     }

@@ -7,10 +7,11 @@
 //!
 //! Residency and pin tables are [`SlotMap`]s: dense per-slot vectors when
 //! the store is built over a [`BlockSlots`] arena
-//! ([`MemoryStore::with_slots`]), a plain `HashMap` otherwise. The dense
-//! backing removes hashing from every `contains`/`insert`/`remove` on the
-//! simulator's per-access path; behavior is identical either way (the
-//! hash-vs-dense differential tests in `refdist-cluster` enforce it).
+//! ([`MemoryStore::with_slots`], what the engine runs on), a plain
+//! `HashMap` otherwise. The dense backing removes hashing from every
+//! `contains`/`insert`/`remove` on the simulator's per-access path;
+//! behavior is identical either way (`tests/proptest_store.rs` drives both
+//! backings through one shadow model).
 
 use refdist_dag::{BlockId, BlockSlots, SlotMap, TenantMap};
 use std::collections::BTreeMap;

@@ -1,10 +1,14 @@
 //! Property tests for the block-storage layer: byte accounting and the
-//! pin/reserve rules must survive arbitrary operation sequences.
+//! pin/reserve rules must survive arbitrary operation sequences, on both
+//! table backings — the hash-backed one (`MemoryStore::new`,
+//! `BlockMaster::new`) and the slot-indexed one the engine runs on
+//! (`with_slots`).
 
 use proptest::prelude::*;
-use refdist_dag::{BlockId, RddId};
+use refdist_dag::{BlockId, BlockSlots, RddId};
 use refdist_store::{BlockMaster, InsertError, MemoryStore, NodeId};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -29,13 +33,23 @@ fn blk(b: u8) -> BlockId {
     BlockId::new(RddId(b as u32 % 16), b as u32 / 16)
 }
 
+/// A slot arena over every block `blk` can name: 16 RDDs × 16 partitions.
+fn arena() -> Arc<BlockSlots> {
+    Arc::new(BlockSlots::from_counts((0..16).map(|r| (RddId(r), 16))))
+}
+
 proptest! {
     #[test]
     fn memory_store_accounting_invariants(
         capacity in 0u64..256,
         ops in prop::collection::vec(op_strategy(), 0..200),
+        dense in any::<bool>(),
     ) {
-        let mut store = MemoryStore::new(capacity);
+        let mut store = if dense {
+            MemoryStore::with_slots(capacity, arena())
+        } else {
+            MemoryStore::new(capacity)
+        };
         // Shadow model: block -> size, plus pin counts.
         let mut model: HashMap<BlockId, u64> = HashMap::new();
         let mut pins: HashMap<BlockId, u32> = HashMap::new();
@@ -112,6 +126,8 @@ proptest! {
             for &b in pins.keys() {
                 prop_assert!(store.is_pinned(b));
             }
+            let resident: BTreeSet<BlockId> = store.iter().map(|(b, _)| b).collect();
+            prop_assert_eq!(resident, model.keys().copied().collect::<BTreeSet<_>>());
             // Evictable excludes exactly the pinned blocks.
             let evictable = store.evictable().count();
             prop_assert_eq!(evictable, model.len() - pins.len());
@@ -121,9 +137,14 @@ proptest! {
     #[test]
     fn block_master_tracks_registrations(
         events in prop::collection::vec((any::<u8>(), 0u32..4, any::<bool>(), any::<bool>()), 0..200),
+        dense in any::<bool>(),
     ) {
         // (block, node, memory?, register?)
-        let mut master = BlockMaster::new();
+        let mut master = if dense {
+            BlockMaster::with_slots(arena())
+        } else {
+            BlockMaster::new()
+        };
         let mut mem: HashMap<(BlockId, NodeId), ()> = HashMap::new();
         let mut disk: HashMap<(BlockId, NodeId), ()> = HashMap::new();
         for (b, n, memory, reg) in events {
@@ -176,6 +197,11 @@ proptest! {
                     }
                 }
             }
+            // One entry per memory-resident block, whatever the backing.
+            let mut resident: Vec<BlockId> = master.memory_resident().collect();
+            resident.sort_unstable();
+            let expected: BTreeSet<BlockId> = mem.keys().map(|&(bb, _)| bb).collect();
+            prop_assert_eq!(resident, expected.into_iter().collect::<Vec<_>>());
         }
     }
 }
