@@ -75,7 +75,8 @@ fn parse(path: &str) -> Result<Vec<Record>, String> {
         records.push(Record {
             suite: str_field(line, "suite").ok_or_else(|| format!("{path}: no suite: {line}"))?,
             bench: str_field(line, "bench").ok_or_else(|| format!("{path}: no bench: {line}"))?,
-            policy: str_field(line, "policy").ok_or_else(|| format!("{path}: no policy: {line}"))?,
+            policy: str_field(line, "policy")
+                .ok_or_else(|| format!("{path}: no policy: {line}"))?,
             blocks: num_field(line, "blocks").unwrap_or(0.0) as u64,
             protocol: str_field(line, "protocol").unwrap_or_default(),
             metric,

@@ -151,12 +151,7 @@ fn throughput_cfg(spec: &AppSpec, nodes: u32) -> SimConfig {
 }
 
 /// Best-of-reps wall ms for one full-stack configuration.
-fn time_throughput(
-    spec: &AppSpec,
-    plan: &AppPlan,
-    nodes: u32,
-    reps: usize,
-) -> (f64, RunReport) {
+fn time_throughput(spec: &AppSpec, plan: &AppPlan, nodes: u32, reps: usize) -> (f64, RunReport) {
     let mut best_ms = f64::INFINITY;
     let mut report = None;
     for _ in 0..reps {
@@ -366,7 +361,9 @@ fn time_serve_resilience(
             &subs,
             ServeConfig {
                 sim,
-                arrivals: ArrivalProcess::Poisson { mean_gap_us: 40_000 },
+                arrivals: ArrivalProcess::Poisson {
+                    mean_gap_us: 40_000,
+                },
                 sched: ServeSched::FairShare,
                 quota: QuotaKind::EqualShare,
                 upfront: false,
@@ -425,7 +422,11 @@ fn time_admission(specs: &[AppSpec], apps: u32, interned: bool) -> f64 {
 fn main() {
     let mut records: Vec<Record> = Vec::new();
 
-    let node_counts: &[u32] = if quick() { &[8, 32] } else { &[8, 32, 128, 256] };
+    let node_counts: &[u32] = if quick() {
+        &[8, 32]
+    } else {
+        &[8, 32, 128, 256]
+    };
 
     println!("== sched: wide app, delay scheduling on (ms, lower is better) ==");
     println!("{:<8} {:>8} {:>12}", "nodes", "tasks", "indexed");
@@ -625,7 +626,11 @@ fn main() {
                 bench: bench.into(),
                 policy: "LRU".into(),
                 blocks: apps as usize,
-                protocol: if bench == upfront_bench { "upfront" } else { "streaming" },
+                protocol: if bench == upfront_bench {
+                    "upfront"
+                } else {
+                    "streaming"
+                },
                 metric,
                 value,
             });
@@ -702,7 +707,11 @@ fn main() {
             bench: bench.into(),
             policy: "LRU".into(),
             blocks: resil_apps as usize,
-            protocol: if mtbf_us.is_some() { "churn" } else { "fault-free" },
+            protocol: if mtbf_us.is_some() {
+                "churn"
+            } else {
+                "fault-free"
+            },
             metric: "ms_total",
             value: ms,
         });

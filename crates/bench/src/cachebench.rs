@@ -223,7 +223,9 @@ impl Churn {
         if dense {
             let universe = n + (n / 4).max(1);
             let parts = universe.div_ceil(RDDS as usize) as u32;
-            let arena = Arc::new(BlockSlots::from_counts((0..RDDS).map(|r| (RddId(r), parts))));
+            let arena = Arc::new(BlockSlots::from_counts(
+                (0..RDDS).map(|r| (RddId(r), parts)),
+            ));
             policy.attach_slots(&arena);
         }
         let profile = churn_profile();
@@ -269,7 +271,8 @@ impl Churn {
         self.steps += 1;
         if self.steps.is_multiple_of(STAGE_PERIOD) && self.stage < 39 {
             self.stage += 1;
-            self.policy.on_stage_start(StageId(self.stage), &self.profile);
+            self.policy
+                .on_stage_start(StageId(self.stage), &self.profile);
         }
         if !self.recent.is_empty() {
             let idx = self.next_rand() as usize % self.recent.len();

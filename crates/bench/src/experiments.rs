@@ -129,9 +129,7 @@ pub fn fig4_text(ctx: &ExpContext, opts: &SweepOptions) -> String {
             let mut best = [f64::INFINITY; 3];
             let mut best_hits = (1.0, 1.0); // (lru, full mrd) at full MRD's best
             for (k, &m) in modes.iter().enumerate() {
-                if let Some((norm, lru_hit, mrd_hit)) =
-                    res.best_normalized(w, PolicySpec::Lru, m)
-                {
+                if let Some((norm, lru_hit, mrd_hit)) = res.best_normalized(w, PolicySpec::Lru, m) {
                     best[k] = norm;
                     if m == PolicySpec::MrdFull {
                         best_hits = (lru_hit, mrd_hit);
@@ -386,7 +384,14 @@ pub fn ablations_text(ctx: &ExpContext, threads: usize) -> String {
         let plan = AppPlan::build(&spec);
         let cache = cache_for_fraction(&spec, &ctx.cluster, FRACTION).max(1);
         let cfg = SimConfig::new(ctx.cluster.with_cache(cache)).with_seed(ctx.seed);
-        let lru = run_one(&spec, &plan, ctx, cache, PolicySpec::Lru, ProfileMode::Recurring);
+        let lru = run_one(
+            &spec,
+            &plan,
+            ctx,
+            cache,
+            PolicySpec::Lru,
+            ProfileMode::Recurring,
+        );
         let mru = run_mrd(&spec, &plan, cfg.clone(), MrdConfig::default());
         let lru_tie = run_mrd(
             &spec,
@@ -420,7 +425,14 @@ pub fn ablations_text(ctx: &ExpContext, threads: usize) -> String {
     let spec = Workload::StronglyConnectedComponents.build(&ctx.params);
     let plan = AppPlan::build(&spec);
     let cache = cache_for_fraction(&spec, &ctx.cluster, 0.25).max(1);
-    let lru = run_one(&spec, &plan, ctx, cache, PolicySpec::Lru, ProfileMode::Recurring);
+    let lru = run_one(
+        &spec,
+        &plan,
+        ctx,
+        cache,
+        PolicySpec::Lru,
+        ProfileMode::Recurring,
+    );
     let mut t = TextTable::new([
         "Horizon",
         "Normalized JCT",

@@ -13,8 +13,8 @@ pub mod sweep;
 pub use cachebench::{bench_policies, Churn, NaiveScan};
 pub use refdist_cluster::EngineScratch;
 pub use sweep::{
-    default_threads, pool_map, run_sweep, CellResult, ServeAxis, ServePeaks, SweepCell,
-    SweepGrid, SweepOptions, SweepResults,
+    default_threads, pool_map, run_sweep, CellResult, ServeAxis, ServePeaks, SweepCell, SweepGrid,
+    SweepOptions, SweepResults,
 };
 
 use refdist_cluster::{ClusterConfig, FaultPlan, RunReport, SimConfig, Simulation};

@@ -23,8 +23,8 @@
 use crate::{cache_for_fraction, run_one_prepared, ExpContext, PolicySpec, PreparedWorkload};
 use parking_lot::Mutex;
 use refdist_cluster::{
-    ArrivalProcess, EngineScratch, QuotaKind, ResilienceConfig, RunReport, ServeConfig,
-    ServeSched, ServeSim, SimConfig,
+    ArrivalProcess, EngineScratch, QuotaKind, ResilienceConfig, RunReport, ServeConfig, ServeSched,
+    ServeSim, SimConfig,
 };
 use refdist_core::ProfileMode;
 use refdist_dag::AppSpec;
@@ -66,8 +66,7 @@ where
     }
     .min(items.len().max(1));
     let next = AtomicUsize::new(0);
-    let sink: Mutex<OrderedSink<usize, R>> =
-        Mutex::new(OrderedSink::with_capacity(items.len()));
+    let sink: Mutex<OrderedSink<usize, R>> = Mutex::new(OrderedSink::with_capacity(items.len()));
     crossbeam::scope(|s| {
         for _ in 0..threads {
             let (next, sink, f) = (&next, &sink, &f);
@@ -231,10 +230,7 @@ pub struct SweepGrid {
 impl SweepGrid {
     /// Grid over `workloads` × `policies` with the standard
     /// [`crate::SWEEP_FRACTIONS`] and a single replicate (seed 42).
-    pub fn new(
-        workloads: impl Into<Vec<Workload>>,
-        policies: impl Into<Vec<PolicySpec>>,
-    ) -> Self {
+    pub fn new(workloads: impl Into<Vec<Workload>>, policies: impl Into<Vec<PolicySpec>>) -> Self {
         SweepGrid {
             workloads: workloads.into(),
             policies: policies.into(),
@@ -444,9 +440,11 @@ impl SweepResults {
         policy: PolicySpec,
     ) -> Option<(f64, f64, f64)> {
         let mut best: Option<(f64, f64, f64)> = None;
-        for c in self.cells.iter().filter(|c| {
-            c.cell.workload == workload && c.cell.policy == policy
-        }) {
+        for c in self
+            .cells
+            .iter()
+            .filter(|c| c.cell.workload == workload && c.cell.policy == policy)
+        {
             let base = self.get(workload, baseline, c.cell.capacity_frac, c.cell.seed)?;
             let norm = c.report.normalized_jct(&base.report);
             if best.is_none_or(|(b, _, _)| norm < b) {
@@ -526,9 +524,8 @@ impl SweepResults {
                 c.serve_peaks.map_or(String::new(), |p| f(&p).to_string())
             };
             // SLO accounting; empty cells whenever resilience was passive.
-            let slo = |f: fn(&ServeSlo) -> u64| {
-                c.serve_slo.map_or(String::new(), |s| f(&s).to_string())
-            };
+            let slo =
+                |f: fn(&ServeSlo) -> u64| c.serve_slo.map_or(String::new(), |s| f(&s).to_string());
             w.row([
                 c.cell.workload.short_name().to_string(),
                 c.cell.policy.name().to_string(),
@@ -692,8 +689,7 @@ pub fn run_sweep(grid: &SweepGrid, ctx: &ExpContext, opts: &SweepOptions) -> Swe
             .iter()
             .find(|p| p.workload == cell.workload)
             .expect("workload prepared");
-        let cache_bytes =
-            cache_for_fraction(&prep.spec, &ctx.cluster, cell.capacity_frac).max(1);
+        let cache_bytes = cache_for_fraction(&prep.spec, &ctx.cluster, cell.capacity_frac).max(1);
         let mut cell_ctx = ctx.clone();
         cell_ctx.seed = cell.sim_seed(ctx.seed);
         if cell.chaos > 0.0 {
@@ -706,7 +702,13 @@ pub fn run_sweep(grid: &SweepGrid, ctx: &ExpContext, opts: &SweepOptions) -> Swe
             (report, Some(peaks), slo)
         } else {
             let report = SCRATCH.with(|s| {
-                run_one_prepared(prep, &cell_ctx, cache_bytes, cell.policy, &mut s.borrow_mut())
+                run_one_prepared(
+                    prep,
+                    &cell_ctx,
+                    cache_bytes,
+                    cell.policy,
+                    &mut s.borrow_mut(),
+                )
             });
             (report, None, None)
         };
@@ -786,13 +788,23 @@ mod tests {
             chaos: 0.0,
             serve: None,
         };
-        let chaotic = SweepCell { chaos: 0.02, ..base };
+        let chaotic = SweepCell {
+            chaos: 0.02,
+            ..base
+        };
         // Rate 0 keeps the pre-chaos key and seed shapes (golden files and
         // paired baselines stay stable); nonzero rates extend both.
         assert_eq!(base.key(), "KM/LRU/f0.4000/s42");
         assert_eq!(chaotic.key(), "KM/LRU/f0.4000/s42/c0.0200");
         assert_ne!(base.sim_seed(42), chaotic.sim_seed(42));
-        assert_ne!(chaotic.sim_seed(42), SweepCell { chaos: 0.04, ..base }.sim_seed(42));
+        assert_ne!(
+            chaotic.sim_seed(42),
+            SweepCell {
+                chaos: 0.04,
+                ..base
+            }
+            .sim_seed(42)
+        );
     }
 
     #[test]
@@ -1012,9 +1024,8 @@ mod tests {
         let csv = res.csv();
         let rows: Vec<&str> = csv.lines().collect();
         assert_eq!(rows.len(), 3, "header + one row per cell");
-        assert!(rows[0].ends_with(
-            "app_retries,shed,degraded,deadline_misses,queue_p95_us,queue_p99_us"
-        ));
+        assert!(rows[0]
+            .ends_with("app_retries,shed,degraded,deadline_misses,queue_p95_us,queue_p99_us"));
         assert!(rows[1].ends_with(",,,,,"), "{}", rows[1]);
         assert!(
             rows[2].contains(",2,0,") && !rows[2].ends_with(",,,,,"),
@@ -1046,7 +1057,11 @@ mod tests {
         assert_eq!(res.cells.len(), 4);
         assert!(res.cells.iter().all(|c| c.report.jct.micros() > 0));
         let (norm, lru_hits, mrd_hits) = res
-            .best_normalized(Workload::ShortestPaths, PolicySpec::Lru, PolicySpec::MrdFull)
+            .best_normalized(
+                Workload::ShortestPaths,
+                PolicySpec::Lru,
+                PolicySpec::MrdFull,
+            )
             .unwrap();
         assert!(norm > 0.0);
         assert!((0.0..=1.0).contains(&lru_hits));

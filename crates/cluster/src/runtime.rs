@@ -861,11 +861,9 @@ impl<'a> Engine<'a> {
     /// Cluster-wide memory residency `(blocks, bytes)` — the serve driver's
     /// peak-footprint sample.
     pub(crate) fn resident_totals(&self) -> (u64, u64) {
-        self.managers
-            .iter()
-            .fold((0, 0), |(n, b), m| {
-                (n + m.memory.len() as u64, b + m.memory.used())
-            })
+        self.managers.iter().fold((0, 0), |(n, b), m| {
+            (n + m.memory.len() as u64, b + m.memory.used())
+        })
     }
 
     /// Whether any block of the RDDs in `rdds` is memory-resident anywhere.
@@ -1223,7 +1221,10 @@ impl<'a> Engine<'a> {
                 }
             }
             let Some((t, node)) = due else { break };
-            let rng = self.churn_rng.as_mut().expect("churn rng exists when churn is on");
+            let rng = self
+                .churn_rng
+                .as_mut()
+                .expect("churn rng exists when churn is on");
             if self.churn_repair[node] {
                 // Repair: the drawn down interval is over; schedule the next
                 // failure and rejoin — unless a scripted event owns the
@@ -1482,8 +1483,13 @@ impl<'a> Engine<'a> {
                 return stage_end;
             }
             if speculating {
-                self.stage_tasks
-                    .push(task_end, node as u32, slot_idx as u32, attempt_start, attempts);
+                self.stage_tasks.push(
+                    task_end,
+                    node as u32,
+                    slot_idx as u32,
+                    attempt_start,
+                    attempts,
+                );
                 self.events.schedule(task_end, p);
             }
         }
@@ -2263,8 +2269,12 @@ mod tests {
     fn concurrent_crashes_with_rejoin_resync_and_complete() {
         let spec = iterative_app(8, 8, 1024 * 1024);
         let plan = AppPlan::build(&spec);
-        let healthy_sim =
-            Simulation::new(&spec, &plan, ProfileMode::Recurring, sim_cfg(4, 2 * 1024 * 1024));
+        let healthy_sim = Simulation::new(
+            &spec,
+            &plan,
+            ProfileMode::Recurring,
+            sim_cfg(4, 2 * 1024 * 1024),
+        );
         let mut healthy_mrd = MrdPolicy::full();
         let healthy = healthy_sim.run(&mut healthy_mrd);
 
@@ -2280,7 +2290,10 @@ mod tests {
         assert!(r.aborted.is_none());
         // Tasks homed on the downed nodes migrated; every task still ran.
         assert_eq!(r.tasks, healthy.tasks);
-        assert!(r.sched.remote_placements > 0, "down-node tasks must migrate");
+        assert!(
+            r.sched.remote_placements > 0,
+            "down-node tasks must migrate"
+        );
         // The manager re-issued table replicas to the replacement monitors.
         assert_eq!(mrd.replicas_reissued(), 2);
         assert_eq!(healthy_mrd.replicas_reissued(), 0);
@@ -2311,11 +2324,7 @@ mod tests {
         assert_eq!(r.faults.retries, r.faults.task_failures);
         assert!(r.faults.backoff_us > 0);
         assert!(r.aborted.is_none());
-        let healthy = run(
-            &spec,
-            sim_cfg(2, 1 << 30),
-            &mut *PolicyKind::Lru.build(),
-        );
+        let healthy = run(&spec, sim_cfg(2, 1 << 30), &mut *PolicyKind::Lru.build());
         assert_eq!(r.tasks, healthy.tasks);
         assert!(r.jct > healthy.jct, "retries cost time");
         // Same seed, same faults: byte-deterministic.
@@ -2374,7 +2383,10 @@ mod tests {
         let mut cfg = sim_cfg(2, 1 << 30);
         cfg.faults.timed_slowdown(0, 20.0, 0, None);
         let slow = run(&spec, cfg, &mut *PolicyKind::Lru.build());
-        assert!(slow.jct > healthy.jct, "an open-ended 20x slowdown must cost time");
+        assert!(
+            slow.jct > healthy.jct,
+            "an open-ended 20x slowdown must cost time"
+        );
         // A window that opens after the run ends is inert.
         let mut future = sim_cfg(2, 1 << 30);
         future.faults.timed_slowdown(0, 20.0, u64::MAX / 2, None);
@@ -2397,7 +2409,11 @@ mod tests {
         assert!(r.faults.rejoins > 0, "MTTR must bring them back");
         assert!(r.aborted.is_none(), "task retries ride out the churn");
         let again = run(&spec, cfg.clone(), &mut *PolicyKind::Lru.build());
-        assert_eq!(format!("{r:?}"), format!("{again:?}"), "same seed, same membership timeline");
+        assert_eq!(
+            format!("{r:?}"),
+            format!("{again:?}"),
+            "same seed, same membership timeline"
+        );
         let mut other = cfg.clone();
         other.seed ^= 0xDEAD_BEEF;
         let o = run(&spec, other, &mut *PolicyKind::Lru.build());
@@ -2464,7 +2480,10 @@ mod tests {
             r_spec.faults.spec_wins + r_spec.faults.spec_losses,
             r_spec.faults.spec_launched
         );
-        assert!(r_spec.faults.spec_wins > 0, "copies must beat a 20x straggler");
+        assert!(
+            r_spec.faults.spec_wins > 0,
+            "copies must beat a 20x straggler"
+        );
         // Speculative copies are not extra tasks.
         assert_eq!(r_spec.tasks, r_slow.tasks);
         assert!(
@@ -2563,11 +2582,12 @@ mod tests {
         // Remote hits are still hits.
         assert!(r.stats.remote_hits <= r.stats.hits);
         // The migrations show up in the placement counters and the summary.
-        assert!(r.sched.remote_placements > 0, "no migrations: {:?}", r.sched);
-        assert_eq!(
-            r.sched.home_placements + r.sched.remote_placements,
-            r.tasks
+        assert!(
+            r.sched.remote_placements > 0,
+            "no migrations: {:?}",
+            r.sched
         );
+        assert_eq!(r.sched.home_placements + r.sched.remote_placements, r.tasks);
         assert!(r.summary().contains("delay-scheduled remotely"));
     }
 

@@ -517,19 +517,28 @@ impl CachePolicy for TenantMux {
 
     fn on_insert(&mut self, node: NodeId, block: BlockId) {
         let o = self.owner(block);
-        self.inner[o].as_mut().expect("live owner").on_insert(node, block);
+        self.inner[o]
+            .as_mut()
+            .expect("live owner")
+            .on_insert(node, block);
     }
 
     fn on_access(&mut self, node: NodeId, block: BlockId) {
         let o = self.owner(block);
-        self.inner[o].as_mut().expect("live owner").on_access(node, block);
+        self.inner[o]
+            .as_mut()
+            .expect("live owner")
+            .on_access(node, block);
     }
 
     fn on_remove(&mut self, node: NodeId, block: BlockId) {
         // Only live/draining submissions can own a cached block: retirement
         // requires zero memory residency, so routing is always resolvable.
         let o = self.owner(block);
-        self.inner[o].as_mut().expect("live owner").on_remove(node, block);
+        self.inner[o]
+            .as_mut()
+            .expect("live owner")
+            .on_remove(node, block);
     }
 
     fn on_node_join(&mut self, node: NodeId) {
@@ -623,11 +632,10 @@ impl CachePolicy for TenantMux {
                 continue;
             }
             let vict_tenant = map.tenant_of_app(a) as usize;
-            let picked = self.inner[a].as_mut().expect("active submission").select_victims(
-                node,
-                shortfall - freed,
-                &self.per_app[a],
-            );
+            let picked = self.inner[a]
+                .as_mut()
+                .expect("active submission")
+                .select_victims(node, shortfall - freed, &self.per_app[a]);
             for b in picked {
                 freed += self.per_app[a].get(&b).copied().unwrap_or(0);
                 self.cross[cur_tenant][vict_tenant] += 1;
@@ -692,11 +700,7 @@ struct UpfrontArtifacts {
 /// stage of submission `a` and returns `(done, clock_after)`. Shared by the
 /// streaming and upfront drivers so the two paths cannot drift in dispatch
 /// order — equivalence reduces to the `advance` bodies.
-fn drive(
-    sched: ServeSched,
-    arrivals: &[u64],
-    mut advance: impl FnMut(usize) -> (bool, u64),
-) {
+fn drive(sched: ServeSched, arrivals: &[u64], mut advance: impl FnMut(usize) -> (bool, u64)) {
     match sched {
         ServeSched::Fifo => {
             // Arrived submissions run to completion in `(arrival, index)`
@@ -713,8 +717,11 @@ fn drive(
             // change every stage, so an app is re-keyed after each one, and
             // the tie-break (smallest index among equal clocks) comes from
             // the composite key.
-            let mut ready: std::collections::BTreeSet<(u64, usize)> =
-                arrivals.iter().enumerate().map(|(i, &at)| (at, i)).collect();
+            let mut ready: std::collections::BTreeSet<(u64, usize)> = arrivals
+                .iter()
+                .enumerate()
+                .map(|(i, &at)| (at, i))
+                .collect();
             while let Some(&(k, i)) = ready.iter().next() {
                 ready.remove(&(k, i));
                 let (app_done, clock) = advance(i);
@@ -789,7 +796,11 @@ impl<'a> ServeSim<'a> {
     /// submission's offset. Planner and analyzer are deterministic
     /// functions of the structure, so the result is value-identical to
     /// [`plan_one`] — the differential serve suite pins that.
-    fn plan_interned(&self, i: usize, cache: &mut TemplateCache) -> (Arc<AppPlan>, Arc<AppProfiler>) {
+    fn plan_interned(
+        &self,
+        i: usize,
+        cache: &mut TemplateCache,
+    ) -> (Arc<AppPlan>, Arc<AppProfiler>) {
         let spec = self.subs[i];
         let tpl = cache.intern(spec);
         let off = self.map.offset(i);
@@ -821,9 +832,9 @@ impl<'a> ServeSim<'a> {
     fn quota_bytes(&self) -> Option<u64> {
         match self.cfg.quota {
             QuotaKind::Unlimited => None,
-            QuotaKind::EqualShare => Some(
-                (self.cfg.sim.cluster.cache_bytes / self.map.num_tenants() as u64).max(1),
-            ),
+            QuotaKind::EqualShare => {
+                Some((self.cfg.sim.cluster.cache_bytes / self.map.num_tenants() as u64).max(1))
+            }
             QuotaKind::Bytes(b) => Some(b.max(1)),
         }
     }
@@ -1065,8 +1076,7 @@ impl<'a> ServeSim<'a> {
                         if running >= cap.max(1) as usize {
                             match res.admission {
                                 AdmissionPolicy::Queue => {
-                                    let qcap =
-                                        res.queue_cap.map_or(usize::MAX, |c| c as usize);
+                                    let qcap = res.queue_cap.map_or(usize::MAX, |c| c as usize);
                                     if !waiting[a] && waiting_count >= qcap {
                                         // Bounded queue overflow: shed on
                                         // arrival.
@@ -1083,8 +1093,7 @@ impl<'a> ServeSim<'a> {
                                     // fair-share the running submissions
                                     // advance in between, so the poll loop
                                     // terminates as soon as one finishes.
-                                    let next =
-                                        states[a].now.0.saturating_add(QUEUE_POLL_US);
+                                    let next = states[a].now.0.saturating_add(QUEUE_POLL_US);
                                     states[a].now = SimTime(next);
                                     return (false, next);
                                 }
@@ -1262,7 +1271,15 @@ impl<'a> ServeSim<'a> {
             queue_delay_us,
             deadline_us: res.deadline_us,
         });
-        self.make_report(reports, arrivals, completions, &mux, peaks, distinct, resilience)
+        self.make_report(
+            reports,
+            arrivals,
+            completions,
+            &mux,
+            peaks,
+            distinct,
+            resilience,
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1533,9 +1550,7 @@ impl ServeReport {
                         retries += r.app_attempts[i].saturating_sub(1) as u64;
                         shed += r.shed[i] as u64;
                         degraded += r.degraded[i] as u64;
-                        if r.met_deadline(i, self.arrivals[i], self.completions[i])
-                            == Some(false)
-                        {
+                        if r.met_deadline(i, self.arrivals[i], self.completions[i]) == Some(false) {
                             misses += 1;
                         }
                         if !r.shed[i] {
@@ -1620,8 +1635,7 @@ impl ServeReport {
             if let Some(d) = res.deadline_us {
                 let met = (0..n)
                     .filter(|&i| {
-                        res.met_deadline(i, self.arrivals[i], self.completions[i])
-                            == Some(true)
+                        res.met_deadline(i, self.arrivals[i], self.completions[i]) == Some(true)
                     })
                     .count();
                 s.push_str(&format!(
@@ -1655,7 +1669,12 @@ impl ServeReport {
         let mut agg = CacheStats::new();
         // A shed submission's placeholder has no per-node rows (and a "-"
         // policy), so size and name the merge from reports that ran.
-        let nn = self.reports.iter().map(|r| r.per_node.len()).max().unwrap_or(0);
+        let nn = self
+            .reports
+            .iter()
+            .map(|r| r.per_node.len())
+            .max()
+            .unwrap_or(0);
         let mut per_node = vec![CacheStats::default(); nn];
         let mut sched = crate::report::SchedStats::default();
         let mut io = SimDuration::ZERO;
@@ -1769,7 +1788,9 @@ mod tests {
 
     #[test]
     fn poisson_arrivals_replay_deterministically() {
-        let p = ArrivalProcess::Poisson { mean_gap_us: 500_000 };
+        let p = ArrivalProcess::Poisson {
+            mean_gap_us: 500_000,
+        };
         let a = p.arrivals(8, 42);
         let b = p.arrivals(8, 42);
         assert_eq!(a, b);
@@ -1822,7 +1843,10 @@ mod tests {
         assert_eq!(sums[1].apps, 1);
         assert!(sr.summary().contains("2 apps over 2 tenants"));
         assert_eq!(sr.cross_evictions.len(), 2);
-        assert!(sr.resilience.is_none(), "passive config reports no resilience");
+        assert!(
+            sr.resilience.is_none(),
+            "passive config reports no resilience"
+        );
         assert!(!sr.summary().contains("resilience:"));
     }
 
@@ -1858,7 +1882,10 @@ mod tests {
             queue_cap: None,
             ..ResilienceConfig::default()
         });
-        assert_eq!(format!("{:?}", base.reports), format!("{:?}", tweaked.reports));
+        assert_eq!(
+            format!("{:?}", base.reports),
+            format!("{:?}", tweaked.reports)
+        );
         assert_eq!(base.summary(), tweaked.summary());
         assert!(base.resilience.is_none() && tweaked.resilience.is_none());
     }
@@ -1910,8 +1937,7 @@ mod tests {
             ..ResilienceConfig::default()
         };
         let run = || {
-            let serve =
-                ServeSim::new(&[(&spec, 0)], serve_cfg(c.clone(), ServeSched::Fifo, res));
+            let serve = ServeSim::new(&[(&spec, 0)], serve_cfg(c.clone(), ServeSched::Fifo, res));
             serve.run_with(|_| Box::new(LruPolicy::new()))
         };
         let x = run();
@@ -2008,7 +2034,10 @@ mod tests {
             sr.reports[deg].stats.hits, 0,
             "cache bypass: nothing it computes is ever cached"
         );
-        assert!(sr.reports[ok].stats.hits > 0, "the admitted app caches normally");
+        assert!(
+            sr.reports[ok].stats.hits > 0,
+            "the admitted app caches normally"
+        );
         assert!(sr.reports[deg].tasks > 0, "degraded apps still run");
         assert!(sr.summary().contains("1 degraded"));
     }
@@ -2026,9 +2055,17 @@ mod tests {
         c.arrivals = ArrivalProcess::Trace(vec![0, 100_000]);
         let serve = ServeSim::new(&[(&a, 0), (&b, 1)], c);
         let sr = serve.run_with(|_| Box::new(LruPolicy::new()));
-        let res = sr.resilience.as_ref().expect("deadline makes the run non-passive");
-        assert_eq!(res.met_deadline(0, sr.arrivals[0], sr.completions[0]), Some(false));
-        assert!(sr.summary().contains("slo: 0/2 met the 0.000s deadline (0.0% attainment)"));
+        let res = sr
+            .resilience
+            .as_ref()
+            .expect("deadline makes the run non-passive");
+        assert_eq!(
+            res.met_deadline(0, sr.arrivals[0], sr.completions[0]),
+            Some(false)
+        );
+        assert!(sr
+            .summary()
+            .contains("slo: 0/2 met the 0.000s deadline (0.0% attainment)"));
         let sums = sr.tenant_summaries();
         assert_eq!(sums[0].deadline_misses + sums[1].deadline_misses, 2);
         // And the run itself is byte-identical to the passive one: deadline
@@ -2038,7 +2075,10 @@ mod tests {
             c2.arrivals = ArrivalProcess::Trace(vec![0, 100_000]);
             ServeSim::new(&[(&a, 0), (&b, 1)], c2).run_with(|_| Box::new(LruPolicy::new()))
         };
-        assert_eq!(format!("{:?}", sr.reports), format!("{:?}", passive.reports));
+        assert_eq!(
+            format!("{:?}", sr.reports),
+            format!("{:?}", passive.reports)
+        );
     }
 
     #[test]
@@ -2051,7 +2091,10 @@ mod tests {
         let mut c = serve_cfg(cfg(2, 2 << 20), ServeSched::Fifo, res);
         c.upfront = true;
         let sr = ServeSim::new(&[(&a, 0)], c).run_with(|_| Box::new(LruPolicy::new()));
-        let r = sr.resilience.as_ref().expect("deadline reported upfront too");
+        let r = sr
+            .resilience
+            .as_ref()
+            .expect("deadline reported upfront too");
         assert_eq!(r.app_attempts, vec![1]);
         assert!(sr.summary().contains("slo: 1/1 met"));
     }
@@ -2064,7 +2107,10 @@ mod tests {
             max_app_attempts: 2,
             ..ResilienceConfig::default()
         };
-        let serve = ServeSim::new(&[(&a, 0)], serve_cfg(cfg(2, 2 << 20), ServeSched::Fifo, res));
+        let serve = ServeSim::new(
+            &[(&a, 0)],
+            serve_cfg(cfg(2, 2 << 20), ServeSched::Fifo, res),
+        );
         let _ = serve.run(vec![Box::new(LruPolicy::new())]);
     }
 }

@@ -102,7 +102,10 @@ fn assert_invisible(p: &Params) {
         assert!(clean_cfg.faults.is_empty(), "default plan must be empty");
         let mut inert_cfg = build_cfg(p, &spec);
         inert_cfg.faults = inert_plan();
-        assert!(inert_cfg.faults.is_empty(), "inert plan must count as empty");
+        assert!(
+            inert_cfg.faults.is_empty(),
+            "inert plan must count as empty"
+        );
         let (clean_report, clean_rec) = run_once(&spec, &plan, clean_cfg, &build);
         let (inert_report, inert_rec) = run_once(&spec, &plan, inert_cfg, &build);
         assert!(clean_report.faults.is_empty(), "fault-free run drew faults");

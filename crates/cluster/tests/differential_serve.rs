@@ -332,8 +332,14 @@ fn assert_stream_equivalent(p: &StreamParams, c: &CfgParams) {
     );
     assert_eq!(up.makespan, st.makespan, "{p:?} {c:?}");
     assert_eq!(up.summary(), st.summary(), "{p:?} {c:?}");
-    assert_eq!(ulog.victims, slog.victims, "victim sequence diverged on {p:?} {c:?}");
-    assert_eq!(ulog.purges, slog.purges, "purge sequence diverged on {p:?} {c:?}");
+    assert_eq!(
+        ulog.victims, slog.victims,
+        "victim sequence diverged on {p:?} {c:?}"
+    );
+    assert_eq!(
+        ulog.purges, slog.purges,
+        "purge sequence diverged on {p:?} {c:?}"
+    );
     // Residency is identical moment for moment, so the sampled peaks agree
     // exactly; the streaming arena must never exceed the upfront one (which
     // holds the whole stream).
@@ -361,8 +367,14 @@ fn assert_interned_equivalent(p: &StreamParams, c: &CfgParams) {
     );
     assert_eq!(cold.summary(), hot.summary(), "{p:?} {c:?}");
     assert_eq!(cold.cross_evictions, hot.cross_evictions, "{p:?} {c:?}");
-    assert_eq!(clog.victims, hlog.victims, "victim sequence diverged on {p:?} {c:?}");
-    assert_eq!(clog.purges, hlog.purges, "purge sequence diverged on {p:?} {c:?}");
+    assert_eq!(
+        clog.victims, hlog.victims,
+        "victim sequence diverged on {p:?} {c:?}"
+    );
+    assert_eq!(
+        clog.purges, hlog.purges,
+        "purge sequence diverged on {p:?} {c:?}"
+    );
     // Cold admission never touches the template cache; interned admission is
     // bounded by template diversity: `vary` cycles iters over 1 + (i % 3).
     assert_eq!(cold.distinct_templates, 0);
@@ -526,8 +538,14 @@ fn inert_resilience_config_is_byte_invisible_everywhere() {
             assert_eq!(base.summary(), res.summary());
             assert_eq!(base.completions, res.completions);
             assert_eq!(base.cross_evictions, res.cross_evictions);
-            assert_eq!(blog, rlog, "decision sequences diverged under an inert config");
-            assert!(res.resilience.is_none(), "passive config must not report resilience");
+            assert_eq!(
+                blog, rlog,
+                "decision sequences diverged under an inert config"
+            );
+            assert!(
+                res.resilience.is_none(),
+                "passive config must not report resilience"
+            );
         }
     }
 }
@@ -554,7 +572,10 @@ fn chaos_fault_sequence_is_driver_invariant() {
     let (cold, clog) = run_stream_with(&stream, &cfg, false, false, &chaos);
 
     let faults = |r: &ServeReport| -> Vec<String> {
-        r.reports.iter().map(|x| format!("{:?}", x.faults)).collect()
+        r.reports
+            .iter()
+            .map(|x| format!("{:?}", x.faults))
+            .collect()
     };
     assert_eq!(
         faults(&up),
@@ -573,7 +594,10 @@ fn chaos_fault_sequence_is_driver_invariant() {
     assert_eq!(slog, clog);
     // And the chaos actually fired: this pin is vacuous on a quiet cluster.
     let total: u64 = st.reports.iter().map(|r| r.faults.crashes).sum();
-    assert!(total > 0, "chaos plan must take nodes down during the stream");
+    assert!(
+        total > 0,
+        "chaos plan must take nodes down during the stream"
+    );
     // Same chaos seed, same run: byte-deterministic replay.
     let (again, alog) = run_stream_with(&stream, &cfg, false, true, &chaos);
     assert_eq!(format!("{:?}", st.reports), format!("{:?}", again.reports));

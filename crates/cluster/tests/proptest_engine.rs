@@ -19,7 +19,7 @@ use common::{Log, Recorder};
 use proptest::prelude::*;
 use refdist_cluster::{ClusterConfig, RunReport, SimConfig, Simulation};
 use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy, ProfileMode};
-use refdist_dag::{AppPlan, AppSpec, AppBuilder, StorageLevel};
+use refdist_dag::{AppBuilder, AppPlan, AppSpec, StorageLevel};
 use refdist_policies::{CachePolicy, PolicyKind};
 
 /// Parameters of a randomized iterative application.

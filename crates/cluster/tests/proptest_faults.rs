@@ -167,7 +167,11 @@ fn check(p: &Params) {
 }
 
 fn params_strategy() -> impl Strategy<Value = Params> {
-    let crash = (any::<u32>(), 0u32..6, prop_oneof![Just(None), Just(Some(1)), Just(Some(3))]);
+    let crash = (
+        any::<u32>(),
+        0u32..6,
+        prop_oneof![Just(None), Just(Some(1)), Just(Some(3))],
+    );
     let slowdown = (
         any::<u32>(),
         prop_oneof![Just(2.0), Just(8.0)],
@@ -257,9 +261,7 @@ fn serve_template() -> AppSpec {
 /// replay byte-identically from the same seed.
 fn serve_check(p: &ServeParams) {
     let spec = serve_template();
-    let subs: Vec<(&AppSpec, u32)> = (0..p.apps)
-        .map(|i| (&spec, i as u32 % p.tenants))
-        .collect();
+    let subs: Vec<(&AppSpec, u32)> = (0..p.apps).map(|i| (&spec, i as u32 % p.tenants)).collect();
     let admission = match p.admission % 3 {
         0 => AdmissionPolicy::Queue,
         1 => AdmissionPolicy::Shed,
@@ -366,7 +368,11 @@ fn serve_check(p: &ServeParams) {
 
 fn serve_params_strategy() -> impl Strategy<Value = ServeParams> {
     (
-        (1usize..6, 1u32..4, prop_oneof![Just(0u64), Just(5_000), Just(50_000)]),
+        (
+            1usize..6,
+            1u32..4,
+            prop_oneof![Just(0u64), Just(5_000), Just(50_000)],
+        ),
         (
             any::<u16>(),
             prop_oneof![Just(0u64), Just(20), Just(100)],

@@ -162,7 +162,8 @@ fn assert_equivalent(cfg: MrdConfig, events: &[Ev], attached: bool) {
                 let va = naive_select(&mut reference, n, shortfall, &mut ra[n.0 as usize]);
                 let vb = batched_select(&mut indexed, n, shortfall, &mut rb[n.0 as usize]);
                 assert_eq!(
-                    va, vb,
+                    va,
+                    vb,
                     "victim sequences diverged ({}, tie {:?}, node {n:?}, shortfall {shortfall})",
                     reference.name(),
                     cfg.tie_break,

@@ -41,7 +41,10 @@ impl<K: Ord, V> OrderedSink<K, V> {
 
     /// All values in ascending key order (stable for equal keys).
     pub fn into_ordered(self) -> Vec<V> {
-        self.into_pairs_ordered().into_iter().map(|(_, v)| v).collect()
+        self.into_pairs_ordered()
+            .into_iter()
+            .map(|(_, v)| v)
+            .collect()
     }
 
     /// All `(key, value)` pairs in ascending key order (stable for equal

@@ -193,7 +193,8 @@ fn assert_equivalent(
                 let va = naive_select(reference.as_mut(), n, shortfall, ca.at(n));
                 let vb = batched_select(indexed.as_mut(), n, shortfall, cb.at(n));
                 assert_eq!(
-                    va, vb,
+                    va,
+                    vb,
                     "victim sequences diverged (policy {}, node {n:?}, shortfall {shortfall})",
                     reference.name(),
                 );

@@ -31,7 +31,8 @@ fn main() {
     // --- worker failure ------------------------------------------------------
     // Node 2 loses its executor a third of the way through the run.
     let mut cfg = base.clone();
-    cfg.faults.node_failure(2, plan.active_stage_count() as u32 / 3);
+    cfg.faults
+        .node_failure(2, plan.active_stage_count() as u32 / 3);
     let mut mrd = MrdPolicy::full();
     let failed = Simulation::new(&spec, &plan, ProfileMode::Recurring, cfg).run(&mut mrd);
     println!(

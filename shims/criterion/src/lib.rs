@@ -115,7 +115,12 @@ fn format_secs(s: f64) -> String {
     }
 }
 
-fn run_one(label: &str, test_mode: bool, throughput: Option<Throughput>, f: &mut dyn FnMut(&mut Bencher)) {
+fn run_one(
+    label: &str,
+    test_mode: bool,
+    throughput: Option<Throughput>,
+    f: &mut dyn FnMut(&mut Bencher),
+) {
     let mut b = Bencher {
         test_mode,
         secs_per_iter: 0.0,
@@ -177,9 +182,12 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let label = format!("{}/{}", self.name, id.into_label());
-        run_one(&label, self.criterion.test_mode, self.throughput, &mut |b| {
-            f(b, input)
-        });
+        run_one(
+            &label,
+            self.criterion.test_mode,
+            self.throughput,
+            &mut |b| f(b, input),
+        );
     }
 
     /// Finish the group (prints nothing extra here).

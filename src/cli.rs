@@ -464,8 +464,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }),
         "chaos" => Ok(Command::Chaos {
             workload: workload_arg()?,
-            policies: policies
-                .unwrap_or_else(|| vec!["lru".into(), "lrc".into(), "mrd".into()]),
+            policies: policies.unwrap_or_else(|| vec!["lru".into(), "lrc".into(), "mrd".into()]),
             rates,
             cache_fraction,
             cluster,
@@ -610,8 +609,7 @@ struct ChaosServe {
 /// attains 100%).
 fn chaos_serve(cs: ChaosServe) -> Result<String, String> {
     use refdist_cluster::{
-        ArrivalProcess, QuotaKind, ResilienceConfig, ServeConfig, ServeReport, ServeSched,
-        ServeSim,
+        ArrivalProcess, QuotaKind, ResilienceConfig, ServeConfig, ServeReport, ServeSched, ServeSim,
     };
     for p in &cs.policies {
         build_policy(p)?;
@@ -670,9 +668,7 @@ fn chaos_serve(cs: ChaosServe) -> Result<String, String> {
             let rep = run_at(rate, Some(deadline), pname);
             let res = rep.resilience.as_ref().expect("deadline set");
             let met = (0..napps)
-                .filter(|&i| {
-                    res.met_deadline(i, rep.arrivals[i], rep.completions[i]) == Some(true)
-                })
+                .filter(|&i| res.met_deadline(i, rep.arrivals[i], rep.completions[i]) == Some(true))
                 .count();
             let crashes: u64 = rep.reports.iter().map(|r| r.faults.crashes).sum();
             let rejoins: u64 = rep.reports.iter().map(|r| r.faults.rejoins).sum();
@@ -1314,8 +1310,10 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 for &quota in &quotas {
                     let mut sim = SimConfig::new(cl.clone().with_cache(cache)).with_seed(seed);
                     if let Some((mtbf_ms, mttr_ms)) = churn {
-                        sim.faults
-                            .node_churn(mtbf_ms.saturating_mul(1_000), mttr_ms.saturating_mul(1_000));
+                        sim.faults.node_churn(
+                            mtbf_ms.saturating_mul(1_000),
+                            mttr_ms.saturating_mul(1_000),
+                        );
                     }
                     let serve = ServeSim::new(
                         &subs,
@@ -1554,7 +1552,11 @@ mod tests {
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        match parse(&args("chaos CC --policies lru,mrd --rates 0.05 --threads 2 --csv")).unwrap() {
+        match parse(&args(
+            "chaos CC --policies lru,mrd --rates 0.05 --threads 2 --csv",
+        ))
+        .unwrap()
+        {
             Command::Chaos {
                 policies,
                 rates,
@@ -1803,7 +1805,10 @@ mod tests {
         .unwrap();
         assert!(!cold.contains("admission:"), "{cold}");
         assert_eq!(
-            out.replace("admission: 2 distinct templates interned over 6 submissions\n", ""),
+            out.replace(
+                "admission: 2 distinct templates interned over 6 submissions\n",
+                ""
+            ),
             cold
         );
     }
@@ -1826,7 +1831,10 @@ mod tests {
         assert!(out.contains("serve: 3 apps over 3 tenants, fair-share, quota unlimited"));
         assert!(out.contains("serve: 3 apps over 3 tenants, fair-share, quota equal-share"));
         for t in 0..3 {
-            assert!(out.contains(&format!("tenant {t}: 1 apps, mean JCT ")), "{out}");
+            assert!(
+                out.contains(&format!("tenant {t}: 1 apps, mean JCT ")),
+                "{out}"
+            );
         }
         assert!(out.contains("p95") && out.contains("p99"));
         assert!(out.contains("cross-tenant evictions"));

@@ -46,7 +46,9 @@ fn run(n: usize, tenants: u32, upfront: bool) -> ServeReport {
             // Mean gap well below one app's runtime, so submissions overlap
             // and the cache stays contended, but far fewer than `n` apps
             // are ever live at once.
-            arrivals: ArrivalProcess::Poisson { mean_gap_us: 40_000 },
+            arrivals: ArrivalProcess::Poisson {
+                mean_gap_us: 40_000,
+            },
             sched: ServeSched::FairShare,
             quota: QuotaKind::EqualShare,
             upfront,
@@ -125,7 +127,9 @@ fn template_cache_is_bounded_by_distinct_structures() {
         &subs,
         ServeConfig {
             sim: stream_cfg(42),
-            arrivals: ArrivalProcess::Poisson { mean_gap_us: 40_000 },
+            arrivals: ArrivalProcess::Poisson {
+                mean_gap_us: 40_000,
+            },
             sched: ServeSched::FairShare,
             quota: QuotaKind::EqualShare,
             upfront: false,
@@ -151,7 +155,9 @@ fn streaming_and_upfront_agree_on_fifo_and_quotas() {
                 &subs,
                 ServeConfig {
                     sim: stream_cfg(7),
-                    arrivals: ArrivalProcess::Poisson { mean_gap_us: 25_000 },
+                    arrivals: ArrivalProcess::Poisson {
+                        mean_gap_us: 25_000,
+                    },
                     sched: ServeSched::Fifo,
                     quota,
                     upfront,
