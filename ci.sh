@@ -50,6 +50,9 @@ cargo test -q -p refdist-bench --test determinism
 echo "==> cargo test -q -p refdist-simcore --test proptest_simcore"
 cargo test -q -p refdist-simcore --test proptest_simcore
 
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -70,6 +73,19 @@ done
   echo "==> REFDIST_QUICK=1 bench_sched (scratch dir)"
   REFDIST_QUICK=1 cargo run --release -q -p refdist-bench --bin bench_sched \
     --manifest-path "$OLDPWD/Cargo.toml" --target-dir "$OLDPWD/target"
+
+  # bench_cache writes bench_cache_{naive,indexed,dense}.json, never the
+  # recorded BENCH_*.json history.
+  echo "==> REFDIST_QUICK=1 bench_cache (scratch dir)"
+  REFDIST_QUICK=1 cargo run --release -q -p refdist-bench --bin bench_cache \
+    --manifest-path "$OLDPWD/Cargo.toml" --target-dir "$OLDPWD/target"
+  for p in naive indexed dense; do
+    [[ -s "bench_cache_$p.json" ]] \
+      || { echo "bench_cache smoke: missing bench_cache_$p.json"; exit 1; }
+  done
+  for f in BENCH_baseline.json BENCH_pr2.json BENCH_pr3.json; do
+    [[ ! -e "$f" ]] || { echo "bench_cache smoke: wrote $f"; exit 1; }
+  done
 
   # Chaos CLI smoke: a tiny resilience curve must run end-to-end (fault
   # injection -> sweep -> degradation table) and exit zero.

@@ -1,19 +1,23 @@
-//! Cache hot-path benchmark (ISSUEs 2 and 3): measures the eviction /
-//! simulation hot path under three protocols and writes each side to a
-//! machine-readable file:
+//! Cache hot-path benchmark: measures the eviction / simulation hot path
+//! under three protocols and writes each side to a machine-readable file in
+//! the working directory:
 //!
-//! * `BENCH_baseline.json` — `naive`: the pre-index re-scan protocol
+//! * `bench_cache_naive.json` — `naive`: the pre-index re-scan protocol
 //!   (`NaiveScan`).
-//! * `BENCH_pr2.json` — `indexed`: the ordered-index `select_victims` path.
-//! * `BENCH_pr3.json` — `dense`: the indexed path with slot-indexed policy
-//!   state (the configuration the runtime uses).
+//! * `bench_cache_indexed.json` — `indexed`: the ordered-index
+//!   `select_victims` path.
+//! * `bench_cache_dense.json` — `dense`: the indexed path with slot-indexed
+//!   policy state (the configuration the runtime uses).
 //!
 //! The macro rows run the engine on its one (slot-indexed) block state:
 //! `naive` wraps the policy in `NaiveScan`, and `indexed` reuses the `dense`
 //! measurement, the engine code path being the same. The checked-in
-//! `BENCH_baseline.json` and `BENCH_pr2.json` macro rows predate this: they
-//! were recorded on a hash-backed engine block state that has since been
-//! removed, and stay as history.
+//! `BENCH_baseline.json`, `BENCH_pr2.json` and `BENCH_pr3.json` were
+//! recorded by an earlier version of this binary (their macro rows on a
+//! hash-backed engine block state that has since been removed); they stay
+//! as history, which is why a run writes fresh files under other names
+//! rather than over them. Compare a fresh run with
+//! `bench_diff bench_cache_naive.json bench_cache_dense.json`.
 //!
 //! All three files come from one invocation on one machine, so any pair is
 //! comparable. One record per line: micro records report `ns_per_evict` for
@@ -215,7 +219,7 @@ fn main() {
         }
     }
 
-    let paths = ["BENCH_baseline.json", "BENCH_pr2.json", "BENCH_pr3.json"];
+    let paths = PROTOCOLS.map(|p| format!("bench_cache_{p}.json"));
     for (path, records) in paths.iter().zip(&records) {
         let mut out = String::from("[\n");
         for (i, r) in records.iter().enumerate() {

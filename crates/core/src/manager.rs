@@ -7,11 +7,17 @@
 //! table to each node's [`crate::CacheMonitor`] (`sendReferenceDistance`),
 //! counting the broadcast messages so the communication overhead of §4.4 can
 //! be measured.
+//!
+//! The replica a sync sends is built once per table version, for the slot
+//! arena the policy attached ([`MrdManager::attach_slots`]), and every
+//! monitor on that arena shares it by `Arc`. The message count is unchanged:
+//! one per monitor per version.
 
 use crate::distance::DistanceMetric;
-use crate::monitor::CacheMonitor;
+use crate::monitor::{CacheMonitor, TableReplica};
 use crate::table::MrdTable;
-use refdist_dag::{AppProfile, JobId, RddId, StageId};
+use refdist_dag::{AppProfile, BlockSlots, JobId, RddId, StageId};
+use std::sync::Arc;
 
 /// The centralized MRD manager.
 #[derive(Debug, Clone)]
@@ -22,6 +28,12 @@ pub struct MrdManager {
     purged: Vec<RddId>,
     /// Number of table replications sent to monitors.
     broadcasts: u64,
+    /// The arena the shared replica is indexed by (the policy's monitors
+    /// attach the same one); `None` until attached.
+    slots: Option<Arc<BlockSlots>>,
+    /// Replica of the table at its current version, built on the first
+    /// sync after a change and shared by every monitor on `slots`.
+    replica: Option<Arc<TableReplica>>,
 }
 
 impl MrdManager {
@@ -32,7 +44,15 @@ impl MrdManager {
             metric,
             purged: Vec::new(),
             broadcasts: 0,
+            slots: None,
+            replica: None,
         }
+    }
+
+    /// Build shared replicas for monitors over `slots` from now on.
+    pub fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
+        self.slots = Some(Arc::clone(slots));
+        self.replica = None;
     }
 
     /// The distance metric in use.
@@ -91,10 +111,15 @@ impl MrdManager {
     /// (`sendReferenceDistance` / `getReferenceDistance`). Returns whether a
     /// message was sent.
     pub fn sync_monitor(&mut self, monitor: &mut CacheMonitor) -> bool {
-        if monitor.table_version() == Some(self.table.version()) {
+        let version = self.table.version();
+        if monitor.table_version() == Some(version) {
             return false;
         }
-        monitor.receive_table(self.table.clone());
+        if self.replica.as_ref().is_none_or(|r| r.version() != version) {
+            let fresh = TableReplica::new(self.table.clone(), self.slots.as_ref());
+            self.replica = Some(Arc::new(fresh));
+        }
+        monitor.receive_replica(self.replica.as_ref().expect("built above"));
         self.broadcasts += 1;
         true
     }
@@ -104,7 +129,7 @@ impl MrdManager {
 mod tests {
     use super::*;
     use crate::distance::RefDistance;
-    use refdist_dag::RddRefs;
+    use refdist_dag::{BlockId, RddRefs};
     use refdist_store::NodeId;
     use std::collections::BTreeMap;
 
@@ -159,6 +184,72 @@ mod tests {
         assert!(!m.is_dead(RddId(1)));
         m.on_stage_start(StageId(6));
         assert_eq!(m.take_purge_order(), vec![RddId(1)]);
+    }
+
+    #[test]
+    fn monitors_on_one_arena_share_one_replica_per_version() {
+        let slots = Arc::new(BlockSlots::from_counts((0..4).map(|r| (RddId(r), 8))));
+        let mut m = MrdManager::new(DistanceMetric::Stage);
+        m.attach_slots(&slots);
+        m.on_job_submit(
+            JobId(0),
+            &profile(&[(0, &[3, 7], &[0]), (1, &[5], &[0]), (2, &[], &[])]),
+        );
+        let mut mons: Vec<CacheMonitor> = (0..25)
+            .map(|n| {
+                let mut mon = CacheMonitor::new(NodeId(n));
+                mon.attach_slots(&slots);
+                mon
+            })
+            .collect();
+        for mon in &mut mons {
+            assert!(m.sync_monitor(mon));
+        }
+        // One allocation, one message per monitor.
+        let first = Arc::clone(mons[0].replica());
+        assert!(mons.iter().all(|mon| Arc::ptr_eq(mon.replica(), &first)));
+        assert_eq!(m.broadcasts(), 25);
+        assert!(mons.iter().all(|mon| mon.syncs() == 1));
+
+        // A new version builds exactly one new replica, shared by all.
+        m.on_stage_start(StageId(4));
+        for mon in &mut mons {
+            assert!(m.sync_monitor(mon));
+        }
+        let second = Arc::clone(mons[0].replica());
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert!(mons.iter().all(|mon| Arc::ptr_eq(mon.replica(), &second)));
+        // The monitors, the manager's cache and `second` hold it; nothing
+        // else was built for this version.
+        assert_eq!(Arc::strong_count(&second), 25 + 2);
+        assert_eq!(m.broadcasts(), 50);
+        assert!(mons.iter().all(|mon| mon.syncs() == 2));
+
+        // Monitors with no arena or another arena get private replicas
+        // that read the same distances.
+        let other = Arc::new(BlockSlots::from_counts((0..4).map(|r| (RddId(r), 8))));
+        let mut bare = CacheMonitor::new(NodeId(25));
+        let mut foreign = CacheMonitor::new(NodeId(26));
+        foreign.attach_slots(&other);
+        assert!(m.sync_monitor(&mut bare));
+        assert!(m.sync_monitor(&mut foreign));
+        assert!(!Arc::ptr_eq(bare.replica(), &second));
+        assert!(!Arc::ptr_eq(foreign.replica(), &second));
+        assert_eq!(m.broadcasts(), 52);
+        for b in slots.iter() {
+            let want = m.table().distance(b.rdd);
+            assert_eq!(mons[0].distance(b), want);
+            assert_eq!(bare.distance(b), want);
+            assert_eq!(foreign.distance(b), want);
+        }
+        assert_eq!(
+            mons[0].distance(BlockId::new(RddId(0), 0)),
+            RefDistance::Finite(3)
+        );
+        assert_eq!(
+            mons[0].distance(BlockId::new(RddId(2), 0)),
+            RefDistance::Infinite
+        );
     }
 
     #[test]
